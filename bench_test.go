@@ -216,7 +216,7 @@ func BenchmarkCorePipeline(b *testing.B) {
 	w := bench.Workload{Benchmarks: []string{"mcf", "galgel"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := r.RunWorkload(cfg, w, smtmlp.MLPFlush, nil)
+		res, _ := r.RunWorkloadCtx(context.Background(), sim.BatchRequest{Config: cfg, Workload: w, Kind: smtmlp.MLPFlush})
 		b.ReportMetric(float64(res.Result.Cycles), "cycles")
 	}
 }

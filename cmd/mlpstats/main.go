@@ -44,7 +44,7 @@ func main() {
 	for _, name := range names {
 		cfg := core.DefaultConfig(1)
 		cfg.LLSRSize = 128
-		c, res, err := runner.RunSingleCoreCtx(ctx, cfg, name)
+		c, res, err := runner.RunSingleCtx(ctx, cfg, name)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -52,7 +52,7 @@ func main() {
 
 		serCfg := cfg
 		serCfg.Mem.SerializeLLL = true
-		ser, err := runner.RunSingleCtx(ctx, serCfg, name)
+		_, ser, err := runner.RunSingleCtx(ctx, serCfg, name)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

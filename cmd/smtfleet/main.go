@@ -9,15 +9,14 @@
 //
 //	smtfleet -spec spec.json -store DIR -workers http://h1:8344,http://h2:8344 \
 //	         [-resume] [-lease-size N] [-lease-target D] [-pipeline N] \
-//	         [-no-gzip] [-lease-ttl D] [-max-attempts N] \
-//	         [-straggler-after D] [-quiet]
+//	         [-lease-ttl D] [-max-attempts N] [-straggler-after D] [-quiet]
 //
 // By default leases are sized adaptively: each worker's cells/sec is tracked
 // and its next lease sized to take about -lease-target of wall time, so fast
 // workers pull big leases while slow ones stay small; -lease-size N pins a
 // fixed size instead. Dispatch is pipelined (-pipeline leases in flight per
-// worker, default 2) and lease/result bodies travel gzip-compressed when the
-// worker advertises support (-no-gzip forces plain JSON).
+// worker, default 2), lease and result bodies always travel gzip-compressed,
+// and results stream back as NDJSON.
 //
 // Workers need no flags beyond being up ("smtserved -addr :8344"); they hold
 // no state a coordinator depends on. The fleet tolerates worker loss (health
@@ -65,7 +64,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) int {
 	leaseSize := fs.Int("lease-size", 0, "fixed cells per lease (0 = adaptive sizing toward -lease-target)")
 	leaseTarget := fs.Duration("lease-target", fleet.DefaultLeaseTarget, "wall time an adaptively-sized lease aims for")
 	pipeline := fs.Int("pipeline", fleet.DefaultPipelineDepth, "leases in flight per worker (1 = serial dispatch)")
-	noGzip := fs.Bool("no-gzip", false, "disable gzip compression of lease and result bodies")
 	leaseTTL := fs.Duration("lease-ttl", fleet.DefaultLeaseTTL, "max lifetime of an unrenewed lease on a worker")
 	maxAttempts := fs.Int("max-attempts", fleet.DefaultMaxAttempts, "lease deliveries per chunk before the run fails")
 	straggler := fs.Duration("straggler-after", fleet.DefaultStraggler, "re-dispatch leases in flight longer than this (negative disables)")
@@ -136,7 +134,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) int {
 		LeaseSize:      *leaseSize,
 		LeaseTarget:    *leaseTarget,
 		PipelineDepth:  *pipeline,
-		NoCompression:  *noGzip,
 		LeaseTTL:       *leaseTTL,
 		MaxAttempts:    *maxAttempts,
 		StragglerAfter: *straggler,

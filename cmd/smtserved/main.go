@@ -32,9 +32,8 @@
 // -lease-ttl caps how long an unrenewed lease is kept before its execution
 // is canceled and its state dropped; coordinators extend that deadline by
 // idempotently re-POSTing the lease as a heartbeat. Lease bodies may arrive
-// gzip-compressed (Content-Encoding: gzip) and results stream back as gzip
-// NDJSON when the coordinator asks for them — old coordinators that know
-// neither get plain buffered JSON, byte-for-byte the same payload.
+// gzip-compressed (Content-Encoding: gzip), and results always stream back
+// as NDJSON, gzip-compressed when the request's Accept-Encoding allows it.
 //
 // Quickstart:
 //

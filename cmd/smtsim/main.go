@@ -72,7 +72,9 @@ func run(ctx context.Context, args []string, out io.Writer) int {
 	}
 
 	runner := sim.NewRunner(sim.Params{Instructions: *instructions, Warmup: *warmup})
-	res, err := runner.RunWorkloadCtx(ctx, core.DefaultConfig(len(names)), w, kind, limiter)
+	res, err := runner.RunWorkloadCtx(ctx, sim.BatchRequest{
+		Config: core.DefaultConfig(len(names)), Workload: w, Kind: kind, Limiter: limiter,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -19,17 +19,18 @@ package core
 // IntervalSample is one per-thread observation at an interval boundary.
 // Cycle is the boundary's cycle relative to the last ResetStats; counter
 // fields are deltas over the interval; ROBOcc, MLP and Gated are
-// instantaneous at the boundary.
+// instantaneous at the boundary. The JSON tags are the public wire shape
+// (smtmlp.IntervalSample is an alias of this type).
 type IntervalSample struct {
-	Cycle     int64  // interval-end cycle, relative to the measurement origin
-	Committed uint64 // instructions committed in the interval
-	Fetched   uint64 // fetch slots granted in the interval
-	L2Misses  uint64 // demand loads serviced beyond the L2 in the interval
-	LLLs      uint64 // long-latency loads issued in the interval
-	Flushes   uint64 // policy-triggered flushes in the interval
-	ROBOcc    int    // ROB entries held at the boundary
-	MLP       int    // long-latency loads outstanding at the boundary
-	Gated     bool   // fetch policy was gating the thread at the boundary
+	Cycle     int64  `json:"cycle"`           // interval-end cycle, relative to the measurement origin
+	Committed uint64 `json:"committed"`       // instructions committed in the interval
+	Fetched   uint64 `json:"fetched"`         // fetch slots granted in the interval
+	L2Misses  uint64 `json:"l2_misses"`       // demand loads serviced beyond the L2 in the interval
+	LLLs      uint64 `json:"llls"`            // long-latency loads issued in the interval
+	Flushes   uint64 `json:"flushes"`         // policy-triggered flushes in the interval
+	ROBOcc    int    `json:"rob_occ"`         // ROB entries held at the boundary
+	MLP       int    `json:"mlp"`             // long-latency loads outstanding at the boundary (the MLP signal)
+	Gated     bool   `json:"gated,omitempty"` // fetch policy was gating the thread at the boundary
 }
 
 // traceRingCap bounds retained samples per thread. With the ring full, new
@@ -40,9 +41,9 @@ const traceRingCap = 512
 // traceThread is one thread's ring plus the counter baselines the next
 // sample's deltas are taken against.
 type traceThread struct {
-	ring  []IntervalSample // fixed capacity traceRingCap
-	head  int              // index of the oldest sample
-	n     int              // live samples
+	ring []IntervalSample // fixed capacity traceRingCap
+	head int              // index of the oldest sample
+	n    int              // live samples
 
 	committed uint64
 	fetched   uint64

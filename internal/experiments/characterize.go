@@ -40,52 +40,48 @@ func TableI(ctx context.Context, r *sim.Runner) TableIResult {
 	names := bench.Names()
 	rows := make([]TableIRow, len(names))
 
-	var jobs []sim.Job
-	for i, name := range names {
-		i, name := i, name
-		jobs = append(jobs, func() {
-			b := bench.MustGet(name)
-			cfg := core.DefaultConfig(1)
-			par, err := r.RunSingleCtx(ctx, cfg, name)
-			if err != nil {
-				return
-			}
+	r.ForEach(ctx, len(names), func(i int) {
+		name := names[i]
+		b := bench.MustGet(name)
+		cfg := core.DefaultConfig(1)
+		_, par, err := r.RunSingleCtx(ctx, cfg, name)
+		if err != nil {
+			return
+		}
 
-			serCfg := cfg
-			serCfg.Mem.SerializeLLL = true
-			ser, err := r.RunSingleCtx(ctx, serCfg, name)
-			if err != nil {
-				return
-			}
+		serCfg := cfg
+		serCfg.Mem.SerializeLLL = true
+		_, ser, err := r.RunSingleCtx(ctx, serCfg, name)
+		if err != nil {
+			return
+		}
 
-			cpiPar := 1 / par.IPC[0]
-			cpiSer := 1 / ser.IPC[0]
-			impact := 0.0
-			if cpiSer > 0 {
-				impact = (cpiSer - cpiPar) / cpiSer
-			}
-			if impact < 0 {
-				impact = 0
-			}
-			cls := bench.ILP
-			if impact > 0.10 {
-				cls = bench.MLP
-			}
-			rows[i] = TableIRow{
-				Name:     name,
-				LLLPer1K: par.LLLPer1K[0],
-				MLP:      par.MLP[0],
-				Impact:   impact,
-				Class:    cls,
-				IPC:      par.IPC[0],
-				PaperLLL: b.PaperLLLPer1K,
-				PaperMLP: b.PaperMLP,
-				PaperImp: b.PaperImpact,
-				PaperCls: b.PaperClass,
-			}
-		})
-	}
-	r.Parallel(jobs)
+		cpiPar := 1 / par.IPC[0]
+		cpiSer := 1 / ser.IPC[0]
+		impact := 0.0
+		if cpiSer > 0 {
+			impact = (cpiSer - cpiPar) / cpiSer
+		}
+		if impact < 0 {
+			impact = 0
+		}
+		cls := bench.ILP
+		if impact > 0.10 {
+			cls = bench.MLP
+		}
+		rows[i] = TableIRow{
+			Name:     name,
+			LLLPer1K: par.LLLPer1K[0],
+			MLP:      par.MLP[0],
+			Impact:   impact,
+			Class:    cls,
+			IPC:      par.IPC[0],
+			PaperLLL: b.PaperLLLPer1K,
+			PaperMLP: b.PaperMLP,
+			PaperImp: b.PaperImpact,
+			PaperCls: b.PaperClass,
+		}
+	})
 	return TableIResult{Rows: rows}
 }
 
@@ -129,20 +125,15 @@ type Figure4Result struct {
 func Figure4(ctx context.Context, r *sim.Runner) Figure4Result {
 	names := bench.MostMLPIntensive(6)
 	out := Figure4Result{Benchmarks: names, CDF: make([][]float64, len(names))}
-	var jobs []sim.Job
-	for i, name := range names {
-		i, name := i, name
-		jobs = append(jobs, func() {
-			cfg := core.DefaultConfig(1)
-			cfg.LLSRSize = 128 // the paper's Figure 4 setup
-			c, _, err := r.RunSingleCoreCtx(ctx, cfg, name)
-			if err != nil {
-				return
-			}
-			out.CDF[i] = histToCDF(c.MLPState(0).DistanceHist)
-		})
-	}
-	r.Parallel(jobs)
+	r.ForEach(ctx, len(names), func(i int) {
+		cfg := core.DefaultConfig(1)
+		cfg.LLSRSize = 128 // the paper's Figure 4 setup
+		c, _, err := r.RunSingleCtx(ctx, cfg, names[i])
+		if err != nil {
+			return
+		}
+		out.CDF[i] = histToCDF(c.MLPState(0).DistanceHist)
+	})
 	return out
 }
 
@@ -208,30 +199,25 @@ type Figure5Result struct {
 func Figure5(ctx context.Context, r *sim.Runner) Figure5Result {
 	names := bench.Names()
 	rows := make([]Figure5Row, len(names))
-	var jobs []sim.Job
-	for i, name := range names {
-		i, name := i, name
-		jobs = append(jobs, func() {
-			on := core.DefaultConfig(1)
-			off := core.DefaultConfig(1)
-			off.Mem.EnablePrefetch = false
-			with, err := r.RunSingleCtx(ctx, on, name)
-			if err != nil {
-				return
-			}
-			without, err := r.RunSingleCtx(ctx, off, name)
-			if err != nil {
-				return
-			}
-			rows[i] = Figure5Row{
-				Name:          name,
-				IPCNoPrefetch: without.IPC[0],
-				IPCPrefetch:   with.IPC[0],
-				Speedup:       with.IPC[0]/without.IPC[0] - 1,
-			}
-		})
-	}
-	r.Parallel(jobs)
+	r.ForEach(ctx, len(names), func(i int) {
+		on := core.DefaultConfig(1)
+		off := core.DefaultConfig(1)
+		off.Mem.EnablePrefetch = false
+		_, with, err := r.RunSingleCtx(ctx, on, names[i])
+		if err != nil {
+			return
+		}
+		_, without, err := r.RunSingleCtx(ctx, off, names[i])
+		if err != nil {
+			return
+		}
+		rows[i] = Figure5Row{
+			Name:          names[i],
+			IPCNoPrefetch: without.IPC[0],
+			IPCPrefetch:   with.IPC[0],
+			Speedup:       with.IPC[0]/without.IPC[0] - 1,
+		}
+	})
 
 	// Harmonic mean of IPCs, then ratio (the paper's "harmonic average IPC
 	// speed-up").
@@ -284,33 +270,28 @@ type PredictorsResult struct {
 func Predictors(ctx context.Context, r *sim.Runner) PredictorsResult {
 	names := bench.Names()
 	rows := make([]PredictorRow, len(names))
-	var jobs []sim.Job
-	for i, name := range names {
-		i, name := i, name
-		jobs = append(jobs, func() {
-			cfg := core.DefaultConfig(1)
-			cfg.LLSRSize = 128
-			c, _, err := r.RunSingleCoreCtx(ctx, cfg, name)
-			if err != nil {
-				return
-			}
-			st := c.MLPState(0)
-			row := PredictorRow{
-				Name:            name,
-				HitMissAccuracy: st.MissPattern.Accuracy(),
-				MissCoverage:    st.MissPattern.MissCoverage(),
-			}
-			if tp, tn, fp, fn, ok := st.BinaryAccuracy(); ok {
-				row.TP, row.TN, row.FP, row.FN = tp, tn, fp, fn
-				row.HasMLPData = true
-			}
-			if fe, ok := st.FarEnoughAccuracy(); ok {
-				row.FarEnough = fe
-			}
-			rows[i] = row
-		})
-	}
-	r.Parallel(jobs)
+	r.ForEach(ctx, len(names), func(i int) {
+		cfg := core.DefaultConfig(1)
+		cfg.LLSRSize = 128
+		c, _, err := r.RunSingleCtx(ctx, cfg, names[i])
+		if err != nil {
+			return
+		}
+		st := c.MLPState(0)
+		row := PredictorRow{
+			Name:            names[i],
+			HitMissAccuracy: st.MissPattern.Accuracy(),
+			MissCoverage:    st.MissPattern.MissCoverage(),
+		}
+		if tp, tn, fp, fn, ok := st.BinaryAccuracy(); ok {
+			row.TP, row.TN, row.FP, row.FN = tp, tn, fp, fn
+			row.HasMLPData = true
+		}
+		if fe, ok := st.FarEnoughAccuracy(); ok {
+			row.FarEnough = fe
+		}
+		rows[i] = row
+	})
 	return PredictorsResult{Rows: rows}
 }
 

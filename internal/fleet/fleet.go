@@ -23,11 +23,10 @@
 // trip than a slow one instead of lockstep chunks. Drivers are also
 // pipelined: up to PipelineDepth leases are in flight per worker, so lease
 // N+1 is already executing while lease N is long-polled, eliminating the
-// idle gap between leases. Wire bodies are gzip-compressed when the worker
-// advertises support (X-Work-Gzip response header; plain JSON first
-// request learns the capability), and complete responses are streamed as
-// NDJSON when the worker speaks it — both degrade transparently against
-// old servers.
+// idle gap between leases. The /v1/work wire has one encoding: every
+// request body is gzip-compressed, every response is requested
+// gzip-encoded, and complete responses stream as NDJSON, decoded with
+// server.DecodeCompleteStream.
 //
 // Ordering: chunks are contiguous slices of the expansion-ordered missing
 // cells, carved in chunk-index order, and a reorder buffer commits them
@@ -139,10 +138,6 @@ type Options struct {
 	// the oldest chunk that has been in flight longer than this (the store
 	// dedupes whichever copy loses). 0 = DefaultStraggler; negative disables.
 	StragglerAfter time.Duration
-	// NoCompression disables gzip on /v1/work bodies in both directions
-	// (requests are sent plain and responses requested identity-encoded).
-	// NDJSON streaming is unaffected — it changes framing, not bytes.
-	NoCompression bool
 	// Client is the HTTP client (nil = a fresh http.Client). Do not set a
 	// global timeout shorter than CompleteWait: collection long-polls.
 	Client *http.Client
@@ -202,7 +197,7 @@ type Summary struct {
 	RefsMerged int `json:"refs_merged"`
 	// Wire accounting for /v1/work traffic: BytesOut/BytesIn are JSON
 	// payload bytes sent/received, BytesOutWire/BytesInWire what actually
-	// crossed the wire (smaller when gzip was negotiated).
+	// crossed the wire after gzip.
 	BytesOut     int64 `json:"bytes_out"`
 	BytesOutWire int64 `json:"bytes_out_wire"`
 	BytesIn      int64 `json:"bytes_in"`
@@ -376,13 +371,11 @@ func clamp(v, lo, hi int) int {
 }
 
 // workerState is one driver's private view of its worker: the throughput
-// EWMA behind adaptive sizing, the negotiated wire capabilities, and
-// pipeline accounting. Only its own driver goroutine mutates it (claim
-// reads size under c.mu, but claim is only ever called by that driver);
-// Run reads it after all drivers exit.
+// EWMA behind adaptive sizing and pipeline accounting. Only its own driver
+// goroutine mutates it (claim reads size under c.mu, but claim is only ever
+// called by that driver); Run reads it after all drivers exit.
 type workerState struct {
 	base      string
-	gzipOK    bool    // worker advertised X-Work-Gzip: request bodies may compress
 	ewma      float64 // cells/sec, 0 until the first completed lease
 	size      int     // next adaptive lease size (fixed size under LeaseSize>0)
 	leases    int
@@ -972,59 +965,37 @@ func (c *countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// workPost sends one /v1/work request with the negotiated wire encodings:
-// the body is gzip-compressed once the worker has advertised X-Work-Gzip
-// (the first request goes plain and learns the capability from the
-// response), responses are requested gzip-encoded, and complete responses
-// are requested as streamed NDJSON — each degrading transparently when the
-// worker predates the encoding. It returns (nil, nil) with out decoded on
-// a 2xx, the worker's error envelope on any other status, and a plain
-// error on a network-level failure. Payload and wire byte counts feed the
-// run summary.
+// workPost sends one /v1/work request on the one wire encoding: a
+// gzip-compressed JSON body, a gzip-encoded response, and — for
+// /v1/work/complete — an NDJSON response decoded with
+// server.DecodeCompleteStream. It returns (nil, nil) with out decoded on a
+// 2xx, the worker's error envelope on any other status, and a plain error
+// on a network-level failure. Payload and wire byte counts feed the run
+// summary.
 func (c *coord) workPost(ctx context.Context, ws *workerState, path, requestID string, in, out any) (*apiError, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return nil, fmt.Errorf("encoding %s body: %w", path, err)
 	}
+	var zbody bytes.Buffer
+	zw := gzip.NewWriter(&zbody)
+	zw.Write(body) // into a bytes.Buffer, so neither call can fail
+	zw.Close()
 	c.bytesOut.Add(int64(len(body)))
-	var rd io.Reader = bytes.NewReader(body)
-	gzipped := false
-	if !c.opts.NoCompression && ws.gzipOK {
-		var zbuf bytes.Buffer
-		zw := gzip.NewWriter(&zbuf)
-		if _, err := zw.Write(body); err == nil && zw.Close() == nil {
-			rd = &zbuf
-			gzipped = true
-			c.bytesOutWire.Add(int64(zbuf.Len()))
-		}
-	}
-	if !gzipped {
-		c.bytesOutWire.Add(int64(len(body)))
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ws.base+path, rd)
+	c.bytesOutWire.Add(int64(zbody.Len()))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ws.base+path, &zbody)
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Encoding", "gzip")
 	// Correlation IDs: the per-delivery request ID and the run-constant
 	// campaign ID, which the worker attaches to its own logs and lease state.
 	req.Header.Set(obs.RequestIDHeader, requestID)
 	req.Header.Set(obs.CampaignIDHeader, c.runID)
-	if gzipped {
-		req.Header.Set("Content-Encoding", "gzip")
-	}
 	// Setting Accept-Encoding explicitly disables the transport's hidden
-	// auto-gzip, so the wire counters see what actually crossed the wire
-	// (and identity keeps the uncompressed baseline genuinely uncompressed).
-	if c.opts.NoCompression {
-		req.Header.Set("Accept-Encoding", "identity")
-	} else {
-		req.Header.Set("Accept-Encoding", "gzip")
-	}
-	_, isComplete := out.(*server.CompleteResponse)
-	if isComplete {
-		req.Header.Set("Accept", "application/x-ndjson")
-	}
+	// auto-gzip, so the wire counters see what actually crossed the wire.
+	req.Header.Set("Accept-Encoding", "gzip")
 	resp, err := c.opts.Client.Do(req)
 	if err != nil {
 		return nil, err
@@ -1033,9 +1004,6 @@ func (c *coord) workPost(ctx context.Context, ws *workerState, path, requestID s
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	if resp.Header.Get(server.WorkGzipHeader) == "1" {
-		ws.gzipOK = true
-	}
 
 	wire := &countReader{r: io.LimitReader(resp.Body, 64<<20)}
 	defer func() {
@@ -1070,48 +1038,14 @@ func (c *coord) workPost(ctx context.Context, ws *workerState, path, requestID s
 	defer func() {
 		c.bytesIn.Add(payload.n)
 	}()
-	if out == nil {
-		_, err := io.Copy(io.Discard, payload)
+	if cr, ok := out.(*server.CompleteResponse); ok {
+		*cr, err = server.DecodeCompleteStream(payload)
 		return nil, err
-	}
-	if isComplete && strings.HasPrefix(resp.Header.Get("Content-Type"), "application/x-ndjson") {
-		return nil, decodeCompleteStream(payload, out.(*server.CompleteResponse))
 	}
 	if err := json.NewDecoder(payload).Decode(out); err != nil {
 		return nil, fmt.Errorf("decoding %s response: %w", path, err)
 	}
 	return nil, nil
-}
-
-// decodeCompleteStream reassembles a streamed NDJSON complete response —
-// one lease-status line followed by one line per result and ref — into the
-// buffered form the rest of the coordinator consumes. Decoding is
-// line-at-a-time, so a huge lease never materializes twice in memory.
-func decodeCompleteStream(r io.Reader, resp *server.CompleteResponse) error {
-	dec := json.NewDecoder(r)
-	seen := false
-	for {
-		var line server.CompleteLine
-		if err := dec.Decode(&line); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("decoding complete stream: %w", err)
-		}
-		switch {
-		case line.Lease != nil:
-			resp.Lease = *line.Lease
-			resp.WaitMillis = line.WaitMillis
-			seen = true
-		case line.Result != nil:
-			resp.Results = append(resp.Results, *line.Result)
-		case line.Ref != nil:
-			resp.Refs = append(resp.Refs, *line.Ref)
-		}
-	}
-	if !seen {
-		return errors.New("decoding complete stream: no lease status line")
-	}
-	return nil
 }
 
 // probe checks worker health with exponential backoff after a transport

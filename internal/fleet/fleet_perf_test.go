@@ -2,9 +2,10 @@
 // twice against an in-process 3-worker fleet whose every request pays a
 // simulated network round trip, and writes cells/sec plus wire-byte
 // accounting for both configurations to -fleet-perf-out (committed as
-// BENCH_8.json). The baseline is the pre-adaptive data path — fixed lease
-// size, serial dispatch, no compression; the tuned run is what fleet.Run
-// does by default — adaptive sizing, pipelined dispatch, gzip. The gate is
+// BENCH_8.json). The baseline is fixed-size serial dispatch — every lease
+// DefaultLeaseSize cells, one lease in flight per worker; the tuned run is
+// what fleet.Run does by default — adaptive sizing, pipelined dispatch.
+// Both travel the one /v1/work wire, gzip NDJSON. The gate is
 // the within-run speedup (tuned cells/sec over baseline cells/sec), which
 // is machine-independent: both runs share the host, the injected RTT, and
 // the deterministic simulator, so only the dispatch strategy differs. The
@@ -58,7 +59,7 @@ type fleetPerfSnapshot struct {
 	Baseline fleetPerfSection `json:"baseline"`
 	Tuned    fleetPerfSection `json:"tuned"`
 	// Speedup is tuned cells/sec over baseline cells/sec; WireFraction is
-	// tuned response wire bytes over baseline's (gzip's share of the win).
+	// tuned response wire bytes over baseline's.
 	Speedup      float64 `json:"speedup"`
 	WireFraction float64 `json:"wire_fraction"`
 }
@@ -134,6 +135,12 @@ func TestFleetPerfSnapshot(t *testing.T) {
 			t.Fatalf("%s summary %+v", config, sum)
 		}
 		assertStoresEqual(t, localDir, dir, "after the "+config+" run")
+		// Compression is deterministic for a deterministic payload: every
+		// run's bytes must cross the wire strictly smaller than its JSON.
+		if sum.BytesInWire >= sum.BytesIn || sum.BytesOutWire >= sum.BytesOut {
+			t.Errorf("%s: gzip saved nothing: bytes_in=%d wire=%d, bytes_out=%d wire=%d",
+				config, sum.BytesIn, sum.BytesInWire, sum.BytesOut, sum.BytesOutWire)
+		}
 		return fleetPerfSection{
 			Config:           config,
 			Seconds:          secs,
@@ -147,19 +154,18 @@ func TestFleetPerfSnapshot(t *testing.T) {
 		}
 	}
 
-	// The pre-adaptive data path: every lease the old default size, one lease
-	// in flight per worker, plain JSON on the wire.
-	baseline := run("fixed-serial-plain", fleet.Options{
+	// Fixed-size serial dispatch: every lease the seed size, one lease in
+	// flight per worker.
+	baseline := run("fixed-serial", fleet.Options{
 		LeaseSize:     fleet.DefaultLeaseSize,
 		PipelineDepth: 1,
-		NoCompression: true,
 	})
 	// The current defaults: adaptive sizing toward DefaultLeaseTarget,
-	// double-buffered dispatch, gzip negotiation.
-	tuned := run("adaptive-pipelined-gzip", fleet.Options{})
+	// double-buffered dispatch.
+	tuned := run("adaptive-pipelined", fleet.Options{})
 
 	snap := fleetPerfSnapshot{
-		Schema:   "smtmlp/fleet-perf/v1",
+		Schema:   "smtmlp/fleet-perf/v2",
 		Workers:  nWorkers,
 		RTTMs:    int(rtt / time.Millisecond),
 		Budget:   budget,
@@ -187,13 +193,6 @@ func TestFleetPerfSnapshot(t *testing.T) {
 	fmt.Printf("fleet-perf: speedup %.2fx, response wire bytes at %.0f%% of baseline\n",
 		snap.Speedup, snap.WireFraction*100)
 
-	// Compression is deterministic for a deterministic payload: the tuned
-	// run's response bytes must cross the wire strictly smaller than the
-	// uncompressed baseline's.
-	if tuned.BytesInWire >= baseline.BytesInWire {
-		t.Errorf("gzip saved nothing on responses: tuned wire %d >= baseline wire %d",
-			tuned.BytesInWire, baseline.BytesInWire)
-	}
 	if *fleetPerfGate > 0 && snap.Speedup < *fleetPerfGate {
 		t.Errorf("fleet throughput gate: tuned/baseline speedup %.2fx below required %.2fx",
 			snap.Speedup, *fleetPerfGate)

@@ -235,8 +235,7 @@ func collectLease(t *testing.T, ts *httptest.Server, lr server.LeaseRequest) ser
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cr server.CompleteResponse
-		err = json.NewDecoder(resp.Body).Decode(&cr)
+		cr, err := server.DecodeCompleteStream(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -417,20 +416,20 @@ func TestFleetAdaptiveSizingConverges(t *testing.T) {
 			fast.LeaseSize, lagging.LeaseSize)
 	}
 
-	// The run must have negotiated compression: wire bytes strictly below
-	// payload bytes in both directions.
+	// gzip must shrink the wire: wire bytes strictly below payload bytes in
+	// both directions.
 	if sum.BytesOutWire >= sum.BytesOut || sum.BytesOut == 0 {
-		t.Errorf("request compression not negotiated: bytes_out=%d wire=%d", sum.BytesOut, sum.BytesOutWire)
+		t.Errorf("request compression not applied: bytes_out=%d wire=%d", sum.BytesOut, sum.BytesOutWire)
 	}
 	if sum.BytesInWire >= sum.BytesIn || sum.BytesIn == 0 {
-		t.Errorf("response compression not negotiated: bytes_in=%d wire=%d", sum.BytesIn, sum.BytesInWire)
+		t.Errorf("response compression not applied: bytes_in=%d wire=%d", sum.BytesIn, sum.BytesInWire)
 	}
 }
 
 // slowWorker wraps a real in-process worker with a shim that delays each
 // lease delivery by perCell for every cell it carries — modeling a worker
-// whose per-cell throughput is lower — transparently across plain and
-// gzip-compressed lease bodies.
+// whose per-cell throughput is lower — reading through the lease body's
+// gzip encoding.
 func slowWorker(t *testing.T, perCell time.Duration) *httptest.Server {
 	t.Helper()
 	srv := server.New(smtmlp.NewEngine())
@@ -501,66 +500,6 @@ func TestFleetPipelinedDispatch(t *testing.T) {
 	if got := serial.Workers[0].PeakDepth; got != 1 {
 		t.Errorf("serial run peaked at depth %d, want 1", got)
 	}
-}
-
-// TestFleetPlainWorkerFallback: against a worker that predates the wire
-// upgrades — no X-Work-Gzip capability, no gzip responses, no NDJSON — the
-// coordinator must fall back transparently to plain buffered JSON and still
-// converge to the byte-identical store.
-func TestFleetPlainWorkerFallback(t *testing.T) {
-	spec := testSpec()
-	localDir := localGroundTruth(t, spec)
-
-	srv := server.New(smtmlp.NewEngine())
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// An old server never saw these negotiation headers, so it behaves
-		// as if they were absent; it also never advertised X-Work-Gzip.
-		r.Header.Set("Accept-Encoding", "identity")
-		r.Header.Del("Accept")
-		srv.ServeHTTP(&stripHeaderWriter{ResponseWriter: w}, r)
-	}))
-	t.Cleanup(old.Close)
-
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	sum, err := fleet.Run(context.Background(), st, spec, fleet.Options{
-		Workers:      []string{old.URL},
-		LeaseSize:    3,
-		CompleteWait: 100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("fleet run against old worker: %v (summary %+v)", err, sum)
-	}
-	if sum.Executed != 12 || sum.Failed != 0 {
-		t.Fatalf("fleet summary %+v", sum)
-	}
-	assertStoresEqual(t, localDir, dir, "after the fallback run")
-	// Nothing was compressed in either direction: wire bytes == payload bytes.
-	if sum.BytesOutWire != sum.BytesOut || sum.BytesOut == 0 {
-		t.Errorf("requests to an old worker were compressed: bytes_out=%d wire=%d", sum.BytesOut, sum.BytesOutWire)
-	}
-	if sum.BytesInWire != sum.BytesIn || sum.BytesIn == 0 {
-		t.Errorf("responses from an old worker counted as compressed: bytes_in=%d wire=%d", sum.BytesIn, sum.BytesInWire)
-	}
-}
-
-// stripHeaderWriter drops the X-Work-Gzip capability advertisement, making
-// a modern in-process server look like one that predates wire compression.
-type stripHeaderWriter struct{ http.ResponseWriter }
-
-func (s *stripHeaderWriter) WriteHeader(code int) {
-	s.Header().Del(server.WorkGzipHeader)
-	s.ResponseWriter.WriteHeader(code)
-}
-
-func (s *stripHeaderWriter) Write(b []byte) (int, error) {
-	s.Header().Del(server.WorkGzipHeader)
-	return s.ResponseWriter.Write(b)
 }
 
 // TestFleetRenewalOutlivesTTL: a lease whose execution takes far longer

@@ -97,11 +97,11 @@ func TestFleetRequestIDPropagation(t *testing.T) {
 			faked = true
 			wrapMu.Unlock()
 			if fake {
-				// The coordinator keys only on the status; the (possibly
-				// gzipped) request body can be ignored.
-				w.Header().Set("Content-Type", "application/json")
-				json.NewEncoder(w).Encode(server.CompleteResponse{
-					Lease: server.LeaseStatus{Status: "expired"},
+				// The coordinator keys only on the status line; the gzipped
+				// request body can be ignored.
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				json.NewEncoder(w).Encode(server.CompleteLine{
+					Lease: &server.LeaseStatus{Status: "expired"},
 				})
 				return
 			}

@@ -4,6 +4,7 @@
 package policy_test
 
 import (
+	"context"
 	"testing"
 
 	"smtmlp/internal/bench"
@@ -146,8 +147,9 @@ func TestDCRADefaultSlowWeight(t *testing.T) {
 	r := sim.NewRunner(sim.Params{Instructions: 6_000, Warmup: 1_500, Parallelism: 1})
 	cfg := core.DefaultConfig(2)
 	w := bench.Workload{Benchmarks: []string{"mcf", "galgel"}}
-	def := r.RunWorkload(cfg, w, policy.ICount, policy.DCRA{})
-	explicit := r.RunWorkload(cfg, w, policy.ICount, policy.DCRA{SlowWeight: 2})
+	ctx := context.Background()
+	def, _ := r.RunWorkloadCtx(ctx, sim.BatchRequest{Config: cfg, Workload: w, Kind: policy.ICount, Limiter: policy.DCRA{}})
+	explicit, _ := r.RunWorkloadCtx(ctx, sim.BatchRequest{Config: cfg, Workload: w, Kind: policy.ICount, Limiter: policy.DCRA{SlowWeight: 2}})
 	if def.Result.Cycles != explicit.Result.Cycles || def.STP != explicit.STP {
 		t.Fatalf("DCRA{} (cycles=%d STP=%v) differs from SlowWeight:2 (cycles=%d STP=%v)",
 			def.Result.Cycles, def.STP, explicit.Result.Cycles, explicit.STP)
@@ -167,14 +169,15 @@ func TestStaticPartitionBoundsOccupancy(t *testing.T) {
 	w := bench.Workload{Benchmarks: []string{"mcf", "galgel"}}
 	share := float64(cfg.ROBSize / 2)
 
-	limited := r.RunWorkload(cfg, w, policy.ICount, policy.StaticPartition{})
+	ctx := context.Background()
+	limited, _ := r.RunWorkloadCtx(ctx, sim.BatchRequest{Config: cfg, Workload: w, Kind: policy.ICount, Limiter: policy.StaticPartition{}})
 	exceeded := false
 	for tid, occ := range limited.Result.AvgROBOccupancy {
 		if occ > share {
 			t.Fatalf("thread %d mean ROB occupancy %.1f exceeds the static share %.0f", tid, occ, share)
 		}
 	}
-	free := r.RunWorkload(cfg, w, policy.ICount, nil)
+	free, _ := r.RunWorkloadCtx(ctx, sim.BatchRequest{Config: cfg, Workload: w, Kind: policy.ICount})
 	for _, occ := range free.Result.AvgROBOccupancy {
 		if occ > share {
 			exceeded = true

@@ -21,7 +21,8 @@
 //	GET  /v1/campaigns — list campaigns; /v1/campaigns/{id} polls one
 //	POST /v1/work/lease    — accept a lease of campaign cells from a fleet
 //	                         coordinator (see work.go); answers 202
-//	POST /v1/work/complete — long-poll a lease and collect its results
+//	POST /v1/work/complete — long-poll a lease and collect its results,
+//	                         streamed back as NDJSON
 //	GET  /v1/work          — list the leases this worker currently holds
 //
 // Errors are JSON bodies {"error":{"code":...,"message":...}} with stable

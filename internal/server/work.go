@@ -26,14 +26,13 @@
 //
 // The wire is built for throughput on large leases:
 //
-//   - Request bodies may be gzip-compressed (Content-Encoding: gzip); every
-//     /v1/work response carries an X-Work-Gzip: 1 capability header so a
-//     coordinator learns it may compress after its first exchange, keeping
-//     old coordinators against new workers (and vice versa) working.
-//   - /v1/work/complete responses honor Accept-Encoding: gzip, and with
-//     Accept: application/x-ndjson the results are streamed one NDJSON line
-//     at a time (lease line, then result lines in cell order, then ref
-//     lines) instead of one buffered JSON array, so encoding is O(1) in the
+//   - Request bodies may be gzip-compressed (Content-Encoding: gzip), and
+//     /v1/work/complete responses honor Accept-Encoding: gzip — standard
+//     HTTP handling, so any client may use either. The fleet coordinator
+//     always does both.
+//   - /v1/work/complete always streams NDJSON, one line at a time (lease
+//     line, then result lines in cell order, then ref lines; see
+//     CompleteLine and DecodeCompleteStream), so encoding is O(1) in the
 //     lease size on both ends of the connection.
 //   - Re-POSTing a held lease_id renews its TTL (the heartbeat that keeps a
 //     slow-but-alive worker's long lease from being expired mid-execution);
@@ -46,6 +45,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -74,9 +74,6 @@ const (
 	// maxWorkBodyBytes caps a /v1/work request body after gzip decompression
 	// (the wire bytes are capped at maxBodyBytes before inflation).
 	maxWorkBodyBytes = 8 << 20
-	// WorkGzipHeader advertises gzip request-body support on every /v1/work
-	// response, so coordinators can negotiate compression transparently.
-	WorkGzipHeader = "X-Work-Gzip"
 )
 
 // WorkCell is one leased simulation: the campaign's content address plus the
@@ -130,27 +127,26 @@ type WorkResult struct {
 	Error       string                 `json:"error,omitempty"`
 }
 
-// CompleteResponse is the /v1/work/complete body. Results (in cell order)
-// and Refs (the single-threaded reference profiles this lease's cells
-// needed, sorted by key) are present only once the lease status is "done";
-// a successful collection removes the lease from the worker. WaitMillis is
-// the long-poll wait the server actually applied — the requested wait_ms
-// clamped to the 30s cap — so a coordinator can see its value was trimmed
-// rather than silently honored.
+// CompleteResponse is one /v1/work/complete answer, as the worker assembles
+// it and DecodeCompleteStream reassembles it from the NDJSON lines. Results
+// (in cell order) and Refs (the single-threaded reference profiles this
+// lease's cells needed, sorted by key) are present only once the lease
+// status is "done"; a successful collection removes the lease from the
+// worker. WaitMillis is the long-poll wait the server actually applied —
+// the requested wait_ms clamped to the 30s cap — so a coordinator can see
+// its value was trimmed rather than silently honored.
 type CompleteResponse struct {
-	Lease      LeaseStatus         `json:"lease"`
-	WaitMillis int64               `json:"wait_ms"`
-	Results    []WorkResult        `json:"results,omitempty"`
-	Refs       []smtmlp.RefProfile `json:"refs,omitempty"`
+	Lease      LeaseStatus
+	WaitMillis int64
+	Results    []WorkResult
+	Refs       []smtmlp.RefProfile
 }
 
-// CompleteLine is one line of a streamed (Accept: application/x-ndjson)
-// /v1/work/complete response; exactly one pointer field is set per line.
-// The first line always carries the lease status plus the effective
-// long-poll wait; when the lease is "done" it is followed by one result
-// line per cell (in cell order) and one ref line per lease-scoped reference
-// profile (in key order). The streamed form carries exactly the same data
-// as the buffered CompleteResponse.
+// CompleteLine is one line of the NDJSON /v1/work/complete response;
+// exactly one pointer field is set per line. The first line always carries
+// the lease status plus the effective long-poll wait; when the lease is
+// "done" it is followed by one result line per cell (in cell order) and one
+// ref line per lease-scoped reference profile (in key order).
 type CompleteLine struct {
 	Lease      *LeaseStatus       `json:"lease,omitempty"`
 	WaitMillis int64              `json:"wait_ms,omitempty"`
@@ -286,7 +282,6 @@ func (s *Server) decodeWorkBody(w http.ResponseWriter, r *http.Request, v any) b
 // idempotent re-POST doubles as the coordinator's TTL heartbeat), and
 // starts executing fresh leases on the server's lifecycle context.
 func (s *Server) handleWorkLease(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(WorkGzipHeader, "1")
 	var lr LeaseRequest
 	if !s.decodeWorkBody(w, r, &lr) {
 		return
@@ -546,11 +541,9 @@ func leaseRefs(eng *smtmlp.Engine, cells []WorkCell) []smtmlp.RefProfile {
 
 // handleWorkComplete long-polls one lease and, once it is done, hands the
 // results (and lease-scoped reference profiles) to the coordinator and
-// forgets the lease. The response honors Accept: application/x-ndjson
-// (streamed, one line per result) and Accept-Encoding: gzip; absent those
-// headers it is the buffered JSON body old coordinators expect.
+// forgets the lease. The response streams as NDJSON, gzip-compressed when
+// the request's Accept-Encoding allows it.
 func (s *Server) handleWorkComplete(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(WorkGzipHeader, "1")
 	var cr CompleteRequest
 	if !s.decodeWorkBody(w, r, &cr) {
 		return
@@ -642,19 +635,13 @@ func (cw countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeCompleteResponse encodes the /v1/work/complete response per the
-// request's negotiation headers. With Accept: application/x-ndjson the body
-// streams one CompleteLine at a time — encoding cost is O(1) in the lease
-// size instead of one giant buffered array — and with Accept-Encoding: gzip
-// it is compressed on the wire. Both byte counters (pre- and
+// writeCompleteResponse streams the /v1/work/complete response one
+// CompleteLine at a time — encoding cost is O(1) in the lease size instead
+// of one giant buffered array — compressed when the request's
+// Accept-Encoding allows gzip. Both byte counters (pre- and
 // post-compression) feed /metrics.
 func (s *Server) writeCompleteResponse(w http.ResponseWriter, r *http.Request, resp CompleteResponse) {
-	ndjson := strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-	if ndjson {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	var out io.Writer = countWriter{&s.workBytesOutWire, w}
 	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
 		w.Header().Set("Content-Encoding", "gzip")
@@ -663,10 +650,6 @@ func (s *Server) writeCompleteResponse(w http.ResponseWriter, r *http.Request, r
 		out = zw
 	}
 	enc := json.NewEncoder(countWriter{&s.workBytesOut, out})
-	if !ndjson {
-		enc.Encode(resp)
-		return
-	}
 	enc.Encode(CompleteLine{Lease: &resp.Lease, WaitMillis: resp.WaitMillis})
 	for i := range resp.Results {
 		enc.Encode(CompleteLine{Result: &resp.Results[i]})
@@ -676,10 +659,41 @@ func (s *Server) writeCompleteResponse(w http.ResponseWriter, r *http.Request, r
 	}
 }
 
+// DecodeCompleteStream reassembles an NDJSON /v1/work/complete response —
+// one lease-status line followed by one line per result and ref — into a
+// CompleteResponse. Decoding is line-at-a-time, so a huge lease never
+// materializes twice in memory.
+func DecodeCompleteStream(r io.Reader) (CompleteResponse, error) {
+	var resp CompleteResponse
+	dec := json.NewDecoder(r)
+	seen := false
+	for {
+		var line CompleteLine
+		if err := dec.Decode(&line); err == io.EOF {
+			break
+		} else if err != nil {
+			return resp, fmt.Errorf("decoding complete stream: %w", err)
+		}
+		switch {
+		case line.Lease != nil:
+			resp.Lease = *line.Lease
+			resp.WaitMillis = line.WaitMillis
+			seen = true
+		case line.Result != nil:
+			resp.Results = append(resp.Results, *line.Result)
+		case line.Ref != nil:
+			resp.Refs = append(resp.Refs, *line.Ref)
+		}
+	}
+	if !seen {
+		return resp, errors.New("decoding complete stream: no lease status line")
+	}
+	return resp, nil
+}
+
 // handleWorkList reports every lease the worker holds plus the lifetime
 // counters.
 func (s *Server) handleWorkList(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set(WorkGzipHeader, "1")
 	s.mu.Lock()
 	var held []*workLease
 	live := s.leaseOrder[:0]

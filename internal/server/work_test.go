@@ -11,7 +11,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -53,14 +52,27 @@ func leaseBody(t *testing.T, lr server.LeaseRequest) string {
 	return string(b)
 }
 
+// decodeComplete fails the test unless the recorder holds status 200 and an
+// NDJSON complete stream, and returns the reassembled response.
+func decodeComplete(t *testing.T, rec *httptest.ResponseRecorder) server.CompleteResponse {
+	t.Helper()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, body %s", rec.Code, rec.Body)
+	}
+	resp, err := server.DecodeCompleteStream(bytes.NewReader(rec.Body.Bytes()))
+	if err != nil {
+		t.Fatalf("decoding %s: %v", rec.Body, err)
+	}
+	return resp
+}
+
 // collect long-polls /v1/work/complete until the lease leaves "running".
 func collect(t *testing.T, srv http.Handler, leaseID string) server.CompleteResponse {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		var resp server.CompleteResponse
-		decodeInto(t, post(t, srv, "/v1/work/complete",
-			fmt.Sprintf(`{"lease_id":%q,"wait_ms":1000}`, leaseID)), &resp)
+		resp := decodeComplete(t, post(t, srv, "/v1/work/complete",
+			fmt.Sprintf(`{"lease_id":%q,"wait_ms":1000}`, leaseID)))
 		if resp.Lease.Status != "running" {
 			return resp
 		}
@@ -296,23 +308,28 @@ func TestWorkLeaseExpiry(t *testing.T) {
 	if rec := post(t, srv, "/v1/work/lease", leaseBody(t, lr)); rec.Code != http.StatusAccepted {
 		t.Fatalf("lease status %d", rec.Code)
 	}
-	// Never collect: the TTL must cancel and forget the lease.
+	// Never collect: the TTL must cancel and forget the lease, even one that
+	// finished inside it. So poll the listing, which never collects, and
+	// poll the expiry counter rather than the lease's absence: expiry forgets
+	// the lease before it counts it.
 	deadline := time.Now().Add(10 * time.Second)
+	var m server.WorkMetrics
 	for {
-		rec := post(t, srv, "/v1/work/complete", `{"lease_id":"exp1"}`)
-		if rec.Code == http.StatusNotFound {
+		var list server.WorkListResponse
+		decodeInto(t, get(t, srv, "/v1/work"), &list)
+		if m = list.Metrics; m.LeasesExpired == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("lease never expired; last status %d %s", rec.Code, rec.Body)
+			t.Fatalf("lease never expired; last metrics %+v", m)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	var list server.WorkListResponse
-	decodeInto(t, get(t, srv, "/v1/work"), &list)
-	if list.Metrics.LeasesExpired != 1 || list.Metrics.LeasesActive != 0 {
-		t.Fatalf("expiry metrics %+v", list.Metrics)
+	if m.LeasesActive != 0 || m.LeasesCollected != 0 {
+		t.Fatalf("expiry metrics %+v", m)
 	}
+	wantError(t, post(t, srv, "/v1/work/complete", `{"lease_id":"exp1"}`),
+		http.StatusNotFound, server.CodeUnknownLease)
 	srv.DrainWork()
 }
 
@@ -330,8 +347,7 @@ func TestWorkLeaseCanceledOnShutdown(t *testing.T) {
 	cancel()
 	srv.DrainWork() // must return promptly once the base context is canceled
 
-	var resp server.CompleteResponse
-	decodeInto(t, post(t, srv, "/v1/work/complete", `{"lease_id":"shut1","wait_ms":2000}`), &resp)
+	resp := decodeComplete(t, post(t, srv, "/v1/work/complete", `{"lease_id":"shut1","wait_ms":2000}`))
 	if resp.Lease.Status != "canceled" || resp.Results != nil {
 		t.Fatalf("post-shutdown lease %+v with %d results", resp.Lease, len(resp.Results))
 	}
@@ -357,13 +373,12 @@ func TestWorkCompleteWaitValidation(t *testing.T) {
 	// An in-cap wait is echoed verbatim; an over-cap wait comes back clamped
 	// to 30s. The lease finishes during the first long-poll, so neither
 	// request actually sleeps its full wait.
-	var resp server.CompleteResponse
-	decodeInto(t, post(t, srv, "/v1/work/complete", `{"lease_id":"w1","wait_ms":1000}`), &resp)
+	resp := decodeComplete(t, post(t, srv, "/v1/work/complete", `{"lease_id":"w1","wait_ms":1000}`))
 	if resp.WaitMillis != 1000 {
 		t.Fatalf("wait_ms 1000 echoed as %d", resp.WaitMillis)
 	}
 	for resp.Lease.Status == "running" {
-		decodeInto(t, post(t, srv, "/v1/work/complete", `{"lease_id":"w1","wait_ms":60000}`), &resp)
+		resp = decodeComplete(t, post(t, srv, "/v1/work/complete", `{"lease_id":"w1","wait_ms":60000}`))
 		if resp.WaitMillis != 30000 {
 			t.Fatalf("wait_ms 60000 should clamp to 30000, got %d", resp.WaitMillis)
 		}
@@ -424,15 +439,28 @@ func TestWorkLeaseRenewalOutlivesTTL(t *testing.T) {
 
 // TestWorkGzipNDJSONRoundTrip drives the compressed streaming wire end to
 // end: a gzip lease body in, a gzip NDJSON complete response out, asserting
-// the streamed lines reassemble into exactly the payload the plain JSON
-// wire produces, and that /metrics accounts bytes on both sides of the
+// the streamed lines reassemble into exactly what Engine.RunBatch computes
+// for the same cells, and that /metrics accounts bytes on both sides of the
 // compression boundary.
 func TestWorkGzipNDJSONRoundTrip(t *testing.T) {
 	const instructions, warmup = 5_000, 1_000
 	cells := leaseCells(instructions, warmup, []string{"mcf", "galgel"}, []string{"swim", "twolf"})
 
-	// Ground truth: the same lease over the plain buffered wire.
-	plain := collectOn(t, server.New(testEngine()), "g1", cells, instructions, warmup)
+	// Ground truth: the same cells through Engine.RunBatch at the lease's
+	// budget, and the references that engine computed for them.
+	eng := smtmlp.NewEngine(smtmlp.WithInstructions(instructions), smtmlp.WithWarmup(warmup))
+	reqs := make([]smtmlp.Request, len(cells))
+	for i, c := range cells {
+		reqs[i] = c.Request
+	}
+	want := make([]server.WorkResult, len(cells))
+	for br := range eng.RunBatch(context.Background(), reqs) {
+		if br.Err != nil {
+			t.Fatalf("ground-truth cell %d: %v", br.Index, br.Err)
+		}
+		res := br.Result
+		want[br.Index] = server.WorkResult{Fingerprint: cells[br.Index].Fingerprint, Request: br.Request, Result: &res}
+	}
 
 	srv := server.New(testEngine())
 	var zbody bytes.Buffer
@@ -452,9 +480,6 @@ func TestWorkGzipNDJSONRoundTrip(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("gzip lease status %d, body %s", rec.Code, rec.Body)
 	}
-	if rec.Header().Get("X-Work-Gzip") != "1" {
-		t.Fatal("lease response does not advertise gzip support")
-	}
 
 	// Collect over the streamed compressed wire.
 	var got server.CompleteResponse
@@ -462,7 +487,6 @@ func TestWorkGzipNDJSONRoundTrip(t *testing.T) {
 	for {
 		req := httptest.NewRequest("POST", "/v1/work/complete",
 			strings.NewReader(`{"lease_id":"g1","wait_ms":1000}`))
-		req.Header.Set("Accept", "application/x-ndjson")
 		req.Header.Set("Accept-Encoding", "gzip")
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
@@ -477,24 +501,8 @@ func TestWorkGzipNDJSONRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec := json.NewDecoder(zr)
-		got = server.CompleteResponse{}
-		for {
-			var line server.CompleteLine
-			if err := dec.Decode(&line); err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatalf("decoding NDJSON line: %v", err)
-			}
-			switch {
-			case line.Lease != nil:
-				got.Lease = *line.Lease
-				got.WaitMillis = line.WaitMillis
-			case line.Result != nil:
-				got.Results = append(got.Results, *line.Result)
-			case line.Ref != nil:
-				got.Refs = append(got.Refs, *line.Ref)
-			}
+		if got, err = server.DecodeCompleteStream(zr); err != nil {
+			t.Fatal(err)
 		}
 		if got.Lease.Status != "running" {
 			break
@@ -504,20 +512,21 @@ func TestWorkGzipNDJSONRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The streamed lines must reassemble to exactly the buffered payload.
+	// The streamed lines must reassemble to exactly the engine's results and
+	// references.
 	if got.Lease.Status != "done" || got.WaitMillis != 1000 {
 		t.Fatalf("streamed lease %+v wait %d", got.Lease, got.WaitMillis)
 	}
 	wantJSON, _ := json.Marshal(struct {
 		R []server.WorkResult
 		F []smtmlp.RefProfile
-	}{plain.Results, plain.Refs})
+	}{want, eng.Cache().Export()})
 	gotJSON, _ := json.Marshal(struct {
 		R []server.WorkResult
 		F []smtmlp.RefProfile
 	}{got.Results, got.Refs})
 	if !bytes.Equal(wantJSON, gotJSON) {
-		t.Fatalf("streamed payload diverges from buffered payload\nplain: %s\nndjson: %s", wantJSON, gotJSON)
+		t.Fatalf("streamed payload diverges from Engine.RunBatch\nengine: %s\nndjson: %s", wantJSON, gotJSON)
 	}
 
 	// Byte accounting: the wire side of the compressed legs must be smaller
@@ -531,18 +540,6 @@ func TestWorkGzipNDJSONRoundTrip(t *testing.T) {
 	if m.BytesOut == 0 || m.BytesOutWire == 0 || m.BytesOutWire >= m.BytesOut {
 		t.Fatalf("response compression not accounted: bytes_out=%d bytes_out_wire=%d", m.BytesOut, m.BytesOutWire)
 	}
-}
-
-// collectOn leases cells onto srv under the given id and collects them over
-// the plain buffered JSON wire.
-func collectOn(t *testing.T, srv *server.Server, leaseID string, cells []server.WorkCell,
-	instructions, warmup uint64) server.CompleteResponse {
-	t.Helper()
-	lr := server.LeaseRequest{LeaseID: leaseID, Instructions: instructions, Warmup: warmup, Cells: cells}
-	if rec := post(t, srv, "/v1/work/lease", leaseBody(t, lr)); rec.Code != http.StatusAccepted {
-		t.Fatalf("lease status %d, body %s", rec.Code, rec.Body)
-	}
-	return collect(t, srv, leaseID)
 }
 
 // TestWorkLeaseRefsAreScoped pins the refs filter: traffic at another budget

@@ -3,7 +3,9 @@ package sim
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"smtmlp/internal/bench"
 	"smtmlp/internal/core"
@@ -51,7 +53,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 
 	seq := NewRunner(Params{Instructions: 10_000, Warmup: 2_500})
 	for i, req := range reqs {
-		want := seq.RunWorkload(req.Config, req.Workload, req.Kind, req.Limiter)
+		want, _ := seq.RunWorkloadCtx(context.Background(), req)
 		if got[i].STP != want.STP || got[i].ANTT != want.ANTT || got[i].Result.Cycles != want.Result.Cycles {
 			t.Fatalf("request %d (%s under %s): batch STP=%v ANTT=%v, sequential STP=%v ANTT=%v",
 				i, req.Workload.Name(), req.Kind, got[i].STP, got[i].ANTT, want.STP, want.ANTT)
@@ -126,6 +128,58 @@ func TestRunnerGauges(t *testing.T) {
 	}
 }
 
+// TestForEach pins the shared pool's contract: every index runs exactly
+// once, no more than Parallelism calls overlap, and once the context is
+// canceled no further index starts.
+func TestForEach(t *testing.T) {
+	const n, bound = 50, 3
+	r := NewRunner(Params{Instructions: 1_000, Parallelism: bound})
+
+	var running, peak atomic.Int64
+	calls := make([]atomic.Int32, n)
+	r.ForEach(context.Background(), n, func(i int) {
+		cur := running.Add(1)
+		for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+		}
+		time.Sleep(time.Millisecond)
+		calls[i].Add(1)
+		running.Add(-1)
+	})
+	for i := range calls {
+		if c := calls[i].Load(); c != 1 {
+			t.Fatalf("index %d ran %d times, want exactly once", i, c)
+		}
+	}
+	if p := peak.Load(); p > bound {
+		t.Fatalf("%d calls overlapped, bound is %d", p, bound)
+	}
+
+	// Hold the first bound calls until the context is canceled; after that,
+	// no further index may start.
+	ctx, cancel := context.WithCancel(context.Background())
+	var started atomic.Int64
+	entered := make(chan struct{}, n)
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		r.ForEach(ctx, n, func(int) {
+			started.Add(1)
+			entered <- struct{}{}
+			<-release
+		})
+		close(done)
+	}()
+	for range bound {
+		<-entered
+	}
+	cancel()
+	close(release)
+	<-done
+	if s := started.Load(); s != bound {
+		t.Fatalf("%d indexes started, want only the %d in flight at cancellation", s, bound)
+	}
+}
+
 func TestRunBatchEmpty(t *testing.T) {
 	r := NewRunner(Params{Instructions: 1_000})
 	if _, ok := <-r.RunBatch(context.Background(), nil); ok {
@@ -143,17 +197,18 @@ func TestSharedCacheAcrossRunners(t *testing.T) {
 
 	shared := NewRefCache(16)
 	a := NewRunnerWithCache(p, shared)
-	warmRes := a.RunWorkload(cfg, w, policy.MLPFlush, nil)
+	req := BatchRequest{Config: cfg, Workload: w, Kind: policy.MLPFlush}
+	warmRes, _ := a.RunWorkloadCtx(context.Background(), req)
 	_, missesAfterA, _ := shared.Stats()
 
 	b := NewRunnerWithCache(p, shared)
-	sharedRes := b.RunWorkload(cfg, w, policy.MLPFlush, nil)
+	sharedRes, _ := b.RunWorkloadCtx(context.Background(), req)
 	_, missesAfterB, _ := shared.Stats()
 	if missesAfterB != missesAfterA {
 		t.Fatalf("second runner recomputed references: misses %d -> %d", missesAfterA, missesAfterB)
 	}
 
-	cold := NewRunner(p).RunWorkload(cfg, w, policy.MLPFlush, nil)
+	cold, _ := NewRunner(p).RunWorkloadCtx(context.Background(), req)
 	if sharedRes.STP != cold.STP || sharedRes.ANTT != cold.ANTT {
 		t.Fatalf("shared-cache result STP=%v ANTT=%v differs from cold STP=%v ANTT=%v",
 			sharedRes.STP, sharedRes.ANTT, cold.STP, cold.ANTT)

@@ -9,16 +9,21 @@
 // concurrency-safe, size-bounded cache keyed by benchmark, budget and a full
 // configuration hash — which may be private to the Runner or shared between
 // any number of concurrent Runners (the public smtmlp.Engine shares one per
-// engine, or across engines via smtmlp.WithCache). Simulation fan-out goes
-// through RunBatch, which spreads requests over a bounded worker pool with
-// context cancellation; each simulation itself is single-threaded and
-// deterministic.
+// engine, or across engines via smtmlp.WithCache).
+//
+// A Runner has four entry points, all context-first: RunSingleCtx (one
+// benchmark alone, returning the core for predictor inspection),
+// STReferenceCtx (a cached single-threaded reference profile),
+// RunWorkloadCtx (one multiprogram BatchRequest with STP/ANTT) and RunBatch
+// (many BatchRequests, streamed). All fan-out — RunBatch and the
+// characterization experiments alike — goes through ForEach, the one
+// bounded worker pool with context cancellation; each simulation itself is
+// single-threaded and deterministic.
 package sim
 
 import (
 	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"smtmlp/internal/bench"
@@ -186,36 +191,19 @@ func NewRunnerWithCache(p Params, refs *RefCache) *Runner {
 // Refs returns the runner's reference cache.
 func (r *Runner) Refs() *RefCache { return r.refs }
 
-// RunSingle simulates one benchmark alone on cfg (single-threaded mode of
-// the same SMT core) for the runner's instruction budget, after warm-up.
-func (r *Runner) RunSingle(cfg core.Config, benchmark string) core.Result {
-	res, _ := r.RunSingleCtx(context.Background(), cfg, benchmark)
-	return res
+// RunSingleCtx simulates one benchmark alone on cfg (single-threaded mode
+// of the same SMT core) for the runner's instruction budget, after warm-up,
+// and returns the core too, so characterization experiments can read
+// predictor state (MLP distance histograms, accuracy counters) after the
+// run. It returns the context's error without simulating if ctx is already
+// done. (A simulation in progress runs to completion; cancellation is
+// observed between simulations, which is the granularity batch execution
+// needs.)
+func (r *Runner) RunSingleCtx(ctx context.Context, cfg core.Config, benchmark string) (*core.Core, core.Result, error) {
+	return r.runSingle(ctx, cfg, benchmark, r.Params.TraceInterval)
 }
 
-// RunSingleCtx is RunSingle under a context: it returns the context's error
-// without simulating if ctx is already done. (A simulation in progress runs
-// to completion; cancellation is observed between simulations, which is the
-// granularity batch execution needs.)
-func (r *Runner) RunSingleCtx(ctx context.Context, cfg core.Config, benchmark string) (core.Result, error) {
-	_, res, err := r.RunSingleCoreCtx(ctx, cfg, benchmark)
-	return res, err
-}
-
-// RunSingleCore is RunSingle but also returns the core, so characterization
-// experiments can read predictor state (MLP distance histograms, accuracy
-// counters) after the run.
-func (r *Runner) RunSingleCore(cfg core.Config, benchmark string) (*core.Core, core.Result) {
-	c, res, _ := r.RunSingleCoreCtx(context.Background(), cfg, benchmark)
-	return c, res
-}
-
-// RunSingleCoreCtx is RunSingleCore under a context.
-func (r *Runner) RunSingleCoreCtx(ctx context.Context, cfg core.Config, benchmark string) (*core.Core, core.Result, error) {
-	return r.runSingleCore(ctx, cfg, benchmark, r.Params.TraceInterval)
-}
-
-func (r *Runner) runSingleCore(ctx context.Context, cfg core.Config, benchmark string, traceEvery int64) (*core.Core, core.Result, error) {
+func (r *Runner) runSingle(ctx context.Context, cfg core.Config, benchmark string, traceEvery int64) (*core.Core, core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, core.Result{}, err
 	}
@@ -241,22 +229,16 @@ func (r *Runner) runWarm(c *core.Core, traceEvery int64) core.Result {
 	return c.Run(r.Params.Instructions)
 }
 
-// STReference returns (computing and caching as needed) the single-threaded
-// reference profile of benchmark under cfg's per-thread configuration.
-func (r *Runner) STReference(cfg core.Config, benchmark string) *STProfile {
-	p, _ := r.STReferenceCtx(context.Background(), cfg, benchmark)
-	return p
-}
-
-// STReferenceCtx is STReference under a context. Concurrent callers (from
-// any Runner sharing the cache) requesting the same reference share one
-// simulation.
+// STReferenceCtx returns (computing and caching as needed) the
+// single-threaded reference profile of benchmark under cfg's per-thread
+// configuration. Concurrent callers (from any Runner sharing the cache)
+// requesting the same reference share one simulation.
 func (r *Runner) STReferenceCtx(ctx context.Context, cfg core.Config, benchmark string) (*STProfile, error) {
 	key := RefKey(cfg, benchmark, r.Params.Instructions, r.Params.warmup())
 	return r.refs.getOrCompute(ctx, key, func(ctx context.Context) (*STProfile, error) {
 		// References never trace (traceEvery 0): their bytes are cached and
 		// persisted under keys that exclude the trace knob.
-		_, res, err := r.runSingleCore(ctx, cfg, benchmark, 0)
+		_, res, err := r.runSingle(ctx, cfg, benchmark, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -275,25 +257,13 @@ type WorkloadResult struct {
 	PerThread []metrics.ThreadPerf
 }
 
-// RunWorkload simulates the workload under the given fetch policy kind and
-// optional limiter, computing STP and ANTT against cached single-threaded
-// references at matched instruction counts.
-func (r *Runner) RunWorkload(cfg core.Config, w bench.Workload, kind policy.Kind, limiter core.Limiter) WorkloadResult {
-	res, _ := r.RunWorkloadCtx(context.Background(), cfg, w, kind, limiter)
-	return res
-}
-
-// RunWorkloadCtx is RunWorkload under a context: it refuses to start once
-// ctx is done and propagates cancellation encountered while resolving the
-// single-threaded references.
-func (r *Runner) RunWorkloadCtx(ctx context.Context, cfg core.Config, w bench.Workload, kind policy.Kind, limiter core.Limiter) (WorkloadResult, error) {
-	return r.RunWorkloadTracedCtx(ctx, cfg, w, kind, limiter, r.Params.TraceInterval)
-}
-
-// RunWorkloadTracedCtx is RunWorkloadCtx with an explicit interval-trace
-// setting for this one simulation (0 disables tracing regardless of the
-// runner's Params.TraceInterval).
-func (r *Runner) RunWorkloadTracedCtx(ctx context.Context, cfg core.Config, w bench.Workload, kind policy.Kind, limiter core.Limiter, traceEvery int64) (WorkloadResult, error) {
+// RunWorkloadCtx simulates one multiprogram request — configuration,
+// workload, fetch policy kind and optional limiter — computing STP and ANTT
+// against cached single-threaded references at matched instruction counts.
+// A zero req.TraceInterval inherits the runner's Params.TraceInterval. It
+// refuses to start once ctx is done and propagates cancellation encountered
+// while resolving the single-threaded references.
+func (r *Runner) RunWorkloadCtx(ctx context.Context, req BatchRequest) (WorkloadResult, error) {
 	if err := ctx.Err(); err != nil {
 		return WorkloadResult{}, err
 	}
@@ -304,16 +274,20 @@ func (r *Runner) RunWorkloadTracedCtx(ctx context.Context, cfg core.Config, w be
 		}
 		defer release()
 	}
-	c := core.New(cfg, models(w.Benchmarks), policy.New(kind), limiter)
-	res := r.runWarm(c, traceEvery)
-
-	name := kind.String()
-	if limiter != nil {
-		name = limiter.Name()
+	every := req.TraceInterval
+	if every == 0 {
+		every = r.Params.TraceInterval
 	}
-	out := WorkloadResult{Workload: w, Policy: name, Result: res}
-	for i, b := range w.Benchmarks {
-		ref, err := r.STReferenceCtx(ctx, cfg, b)
+	c := core.New(req.Config, models(req.Workload.Benchmarks), policy.New(req.Kind), req.Limiter)
+	res := r.runWarm(c, every)
+
+	name := req.Kind.String()
+	if req.Limiter != nil {
+		name = req.Limiter.Name()
+	}
+	out := WorkloadResult{Workload: req.Workload, Policy: name, Result: res}
+	for i, b := range req.Workload.Benchmarks {
+		ref, err := r.STReferenceCtx(ctx, req.Config, b)
 		if err != nil {
 			return WorkloadResult{}, err
 		}
@@ -327,55 +301,4 @@ func (r *Runner) RunWorkloadTracedCtx(ctx context.Context, cfg core.Config, w be
 	out.STP = metrics.STP(out.PerThread)
 	out.ANTT = metrics.ANTT(out.PerThread)
 	return out, nil
-}
-
-// Job is one simulation unit for Parallel.
-type Job func()
-
-// Parallel runs jobs over the runner's worker pool and waits for all.
-func (r *Runner) Parallel(jobs []Job) {
-	workers := r.Params.workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			j()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	ch := make(chan Job)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				j()
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-}
-
-// PrimeSTReferences precomputes single-threaded references for the given
-// benchmarks in parallel. With the single-flight cache this is an
-// optimization, not a requirement: unprimed batch runs deduplicate the
-// reference simulations on their own.
-func (r *Runner) PrimeSTReferences(cfg core.Config, benchmarks []string) {
-	seen := map[string]bool{}
-	var jobs []Job
-	for _, b := range benchmarks {
-		if seen[b] {
-			continue
-		}
-		seen[b] = true
-		b := b
-		jobs = append(jobs, func() { r.STReference(cfg, b) })
-	}
-	r.Parallel(jobs)
 }

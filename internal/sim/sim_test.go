@@ -1,8 +1,8 @@
 package sim
 
 import (
+	"context"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"smtmlp/internal/bench"
@@ -47,7 +47,7 @@ func TestNewRunnerPreservesParams(t *testing.T) {
 
 func TestRunSingleCompletes(t *testing.T) {
 	r := testRunner()
-	res := r.RunSingle(core.DefaultConfig(1), "gcc")
+	_, res, _ := r.RunSingleCtx(context.Background(), core.DefaultConfig(1), "gcc")
 	if res.Committed[0] < 20_000 {
 		t.Fatalf("committed %d < budget", res.Committed[0])
 	}
@@ -59,15 +59,16 @@ func TestRunSingleCompletes(t *testing.T) {
 func TestSTReferenceCached(t *testing.T) {
 	r := testRunner()
 	cfg := core.DefaultConfig(2)
-	a := r.STReference(cfg, "gcc")
-	b := r.STReference(cfg, "gcc")
+	ctx := context.Background()
+	a, _ := r.STReferenceCtx(ctx, cfg, "gcc")
+	b, _ := r.STReferenceCtx(ctx, cfg, "gcc")
 	if a != b {
 		t.Fatal("single-thread reference not cached")
 	}
 	// A different memory latency is a different reference.
 	cfg2 := cfg
 	cfg2.Mem.MemLatency = 800
-	if r.STReference(cfg2, "gcc") == a {
+	if c, _ := r.STReferenceCtx(ctx, cfg2, "gcc"); c == a {
 		t.Fatal("different config shared a cached reference")
 	}
 }
@@ -109,7 +110,7 @@ func TestCPIAtInterpolation(t *testing.T) {
 func TestRunWorkloadMetricsConsistent(t *testing.T) {
 	r := testRunner()
 	w := bench.Workload{Benchmarks: []string{"swim", "twolf"}}
-	res := r.RunWorkload(core.DefaultConfig(2), w, policy.MLPFlush, nil)
+	res, _ := r.RunWorkloadCtx(context.Background(), BatchRequest{Config: core.DefaultConfig(2), Workload: w, Kind: policy.MLPFlush})
 	if res.STP <= 0 || res.STP > 2 {
 		t.Fatalf("STP %v out of (0, 2] for a 2-thread workload", res.STP)
 	}
@@ -135,7 +136,9 @@ func TestRunWorkloadMetricsConsistent(t *testing.T) {
 func TestRunWorkloadWithLimiter(t *testing.T) {
 	r := testRunner()
 	w := bench.Workload{Benchmarks: []string{"swim", "twolf"}}
-	res := r.RunWorkload(core.DefaultConfig(2), w, policy.ICount, policy.StaticPartition{})
+	res, _ := r.RunWorkloadCtx(context.Background(), BatchRequest{
+		Config: core.DefaultConfig(2), Workload: w, Kind: policy.ICount, Limiter: policy.StaticPartition{},
+	})
 	if res.Policy != "static" {
 		t.Fatalf("policy label %q, want limiter name", res.Policy)
 	}
@@ -144,41 +147,11 @@ func TestRunWorkloadWithLimiter(t *testing.T) {
 	}
 }
 
-func TestParallelRunsAllJobs(t *testing.T) {
-	r := NewRunner(Params{Instructions: 1000, Parallelism: 4})
-	var count int64
-	var jobs []Job
-	for i := 0; i < 37; i++ {
-		jobs = append(jobs, func() { atomic.AddInt64(&count, 1) })
-	}
-	r.Parallel(jobs)
-	if count != 37 {
-		t.Fatalf("ran %d jobs, want 37", count)
-	}
-}
-
-func TestParallelSequentialFallback(t *testing.T) {
-	r := NewRunner(Params{Instructions: 1000, Parallelism: 1})
-	ran := 0
-	r.Parallel([]Job{func() { ran++ }, func() { ran++ }})
-	if ran != 2 {
-		t.Fatal("sequential fallback skipped jobs")
-	}
-}
-
-func TestPrimeSTReferences(t *testing.T) {
-	r := testRunner()
-	cfg := core.DefaultConfig(2)
-	r.PrimeSTReferences(cfg, []string{"gcc", "gcc", "twolf"})
-	if n := r.Refs().Len(); n != 2 {
-		t.Fatalf("cache has %d entries, want 2 (deduplicated)", n)
-	}
-}
-
 func TestDeterministicAcrossRunners(t *testing.T) {
 	w := bench.Workload{Benchmarks: []string{"swim", "twolf"}}
-	a := testRunner().RunWorkload(core.DefaultConfig(2), w, policy.Flush, nil)
-	b := testRunner().RunWorkload(core.DefaultConfig(2), w, policy.Flush, nil)
+	req := BatchRequest{Config: core.DefaultConfig(2), Workload: w, Kind: policy.Flush}
+	a, _ := testRunner().RunWorkloadCtx(context.Background(), req)
+	b, _ := testRunner().RunWorkloadCtx(context.Background(), req)
 	if a.STP != b.STP || a.ANTT != b.ANTT || a.Result.Cycles != b.Result.Cycles {
 		t.Fatalf("non-deterministic workload run: %v/%v vs %v/%v", a.STP, a.ANTT, b.STP, b.ANTT)
 	}

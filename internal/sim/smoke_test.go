@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"smtmlp/internal/bench"
@@ -12,7 +13,7 @@ import (
 func TestSmokeSingleThread(t *testing.T) {
 	r := NewRunner(Params{Instructions: 50_000})
 	for _, b := range []string{"mcf", "swim", "gcc"} {
-		res := r.RunSingle(core.DefaultConfig(1), b)
+		_, res, _ := r.RunSingleCtx(context.Background(), core.DefaultConfig(1), b)
 		if res.Committed[0] < 50_000 {
 			t.Fatalf("%s: committed %d < budget", b, res.Committed[0])
 		}
@@ -30,7 +31,7 @@ func TestSmokeTwoThread(t *testing.T) {
 	r := NewRunner(Params{Instructions: 30_000})
 	w := bench.Workload{Benchmarks: []string{"mcf", "galgel"}, Class: bench.MLPWorkload}
 	for _, k := range policy.Paper() {
-		res := r.RunWorkload(core.DefaultConfig(2), w, k, nil)
+		res, _ := r.RunWorkloadCtx(context.Background(), BatchRequest{Config: core.DefaultConfig(2), Workload: w, Kind: k})
 		if res.STP <= 0 || res.ANTT <= 0 {
 			t.Fatalf("%s: bad metrics STP=%.3f ANTT=%.3f", k, res.STP, res.ANTT)
 		}

@@ -5,6 +5,7 @@ package smtmlp
 // assertions are stable, not flaky thresholds.
 
 import (
+	"context"
 	"testing"
 
 	"smtmlp/internal/bench"
@@ -20,12 +21,24 @@ func mlpSubset() []bench.Workload {
 	return ws[:6]
 }
 
+// runWorkload and runSingle run one simulation under a background context,
+// which never cancels, so the runner's error is always nil.
+func runWorkload(r *sim.Runner, cfg core.Config, w bench.Workload, k policy.Kind) sim.WorkloadResult {
+	res, _ := r.RunWorkloadCtx(context.Background(), sim.BatchRequest{Config: cfg, Workload: w, Kind: k})
+	return res
+}
+
+func runSingle(r *sim.Runner, cfg core.Config, benchmark string) core.Result {
+	_, res, _ := r.RunSingleCtx(context.Background(), cfg, benchmark)
+	return res
+}
+
 func groupMetrics(t *testing.T, r *sim.Runner, workloads []bench.Workload, k policy.Kind) (stp, antt float64) {
 	t.Helper()
 	cfg := core.DefaultConfig(2)
 	var stps, antts []float64
 	for _, w := range workloads {
-		res := r.RunWorkload(cfg, w, k, nil)
+		res := runWorkload(r, cfg, w, k)
 		stps = append(stps, res.STP)
 		antts = append(antts, res.ANTT)
 	}
@@ -89,7 +102,7 @@ func TestClaimMLPAwareFlushFourThreads(t *testing.T) {
 		cfg := core.DefaultConfig(4)
 		var stps, antts []float64
 		for _, w := range ws {
-			res := r.RunWorkload(cfg, w, k, nil)
+			res := runWorkload(r, cfg, w, k)
 			stps = append(stps, res.STP)
 			antts = append(antts, res.ANTT)
 		}
@@ -147,9 +160,9 @@ func TestClaimMcfGalgelCaseStudy(t *testing.T) {
 	cfg := core.DefaultConfig(2)
 	w := bench.Workload{Benchmarks: []string{"mcf", "galgel"}}
 
-	flush := r.RunWorkload(cfg, w, policy.Flush, nil)
-	mlpflush := r.RunWorkload(cfg, w, policy.MLPFlush, nil)
-	icount := r.RunWorkload(cfg, w, policy.ICount, nil)
+	flush := runWorkload(r, cfg, w, policy.Flush)
+	mlpflush := runWorkload(r, cfg, w, policy.MLPFlush)
+	icount := runWorkload(r, cfg, w, policy.ICount)
 
 	t.Logf("mcf MLP: icount %.2f flush %.2f mlpflush %.2f",
 		icount.Result.MLP[0], flush.Result.MLP[0], mlpflush.Result.MLP[0])
@@ -188,8 +201,8 @@ func TestClaimPrefetcherSpeedsUpBaseline(t *testing.T) {
 		on := core.DefaultConfig(1)
 		off := core.DefaultConfig(1)
 		off.Mem.EnablePrefetch = false
-		invOn += 1 / r.RunSingle(on, name).IPC[0]
-		invOff += 1 / r.RunSingle(off, name).IPC[0]
+		invOn += 1 / runSingle(r, on, name).IPC[0]
+		invOff += 1 / runSingle(r, off, name).IPC[0]
 	}
 	speedup := invOff/invOn - 1
 	t.Logf("harmonic prefetch speedup over memory-heavy subset: %.1f%%", 100*speedup)
@@ -208,10 +221,10 @@ func TestClaimMLPClassificationMatchesTableI(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
 		cfg := core.DefaultConfig(1)
-		par := r.RunSingle(cfg, b.Model.Name)
+		par := runSingle(r, cfg, b.Model.Name)
 		ser := cfg
 		ser.Mem.SerializeLLL = true
-		serRes := r.RunSingle(ser, b.Model.Name)
+		serRes := runSingle(r, ser, b.Model.Name)
 		cpiPar := 1 / par.IPC[0]
 		cpiSer := 1 / serRes.IPC[0]
 		measured := bench.ILP

@@ -399,29 +399,10 @@ func (e *Engine) Metrics() EngineMetrics {
 // deltas over the interval plus instantaneous pipeline state at the interval
 // boundary. Traces are opt-in (WithIntervalTrace or Request.TraceInterval)
 // and byte-deterministic; the recorder retains at most the last 512 samples
-// per thread, so payloads stay bounded for any run length.
-type IntervalSample struct {
-	// Cycle is the interval-end cycle, relative to the measurement start.
-	Cycle int64 `json:"cycle"`
-	// Committed is the number of instructions committed in the interval.
-	Committed uint64 `json:"committed"`
-	// Fetched is the number of fetch slots granted in the interval.
-	Fetched uint64 `json:"fetched"`
-	// L2Misses counts demand loads serviced beyond the L2 in the interval.
-	L2Misses uint64 `json:"l2_misses"`
-	// LLLs counts long-latency loads issued in the interval.
-	LLLs uint64 `json:"llls"`
-	// Flushes counts policy-triggered flushes in the interval.
-	Flushes uint64 `json:"flushes"`
-	// ROBOcc is the thread's ROB occupancy at the boundary.
-	ROBOcc int `json:"rob_occ"`
-	// MLP is the thread's outstanding long-latency load count at the
-	// boundary (the instantaneous memory-level parallelism signal).
-	MLP int `json:"mlp"`
-	// Gated reports whether the fetch policy was gating the thread at the
-	// boundary (the per-interval policy decision).
-	Gated bool `json:"gated,omitempty"`
-}
+// per thread, so payloads stay bounded for any run length. The kernel's
+// sample is the wire shape: its JSON tags are pinned by the wire-schema
+// golden test.
+type IntervalSample = core.IntervalSample
 
 // SingleResult reports a single-threaded run. The JSON tags are the wire
 // format served over HTTP (cmd/smtserved); renaming a tag is a breaking API
@@ -453,28 +434,6 @@ type ThreadResult struct {
 	Intervals []IntervalSample `json:"intervals,omitempty"`
 }
 
-// intervalSamples converts the kernel's interval samples to the wire shape.
-func intervalSamples(in []core.IntervalSample) []IntervalSample {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make([]IntervalSample, len(in))
-	for i, s := range in {
-		out[i] = IntervalSample{
-			Cycle:     s.Cycle,
-			Committed: s.Committed,
-			Fetched:   s.Fetched,
-			L2Misses:  s.L2Misses,
-			LLLs:      s.LLLs,
-			Flushes:   s.Flushes,
-			ROBOcc:    s.ROBOcc,
-			MLP:       s.MLP,
-			Gated:     s.Gated,
-		}
-	}
-	return out
-}
-
 // WorkloadResult reports a multiprogrammed run with the paper's system-level
 // metrics.
 type WorkloadResult struct {
@@ -491,7 +450,7 @@ func (e *Engine) RunSingle(ctx context.Context, cfg Config, benchmark string) (S
 	if err := checkWorkload(cfg, []string{benchmark}); err != nil {
 		return SingleResult{}, err
 	}
-	res, err := e.runner.RunSingleCtx(ctx, cfg, benchmark)
+	_, res, err := e.runner.RunSingleCtx(ctx, cfg, benchmark)
 	if err != nil {
 		return SingleResult{}, wrapErr(err)
 	}
@@ -503,8 +462,8 @@ func (e *Engine) RunSingle(ctx context.Context, cfg Config, benchmark string) (S
 		MLP:                  res.MLP[0],
 		BranchMispredictRate: res.BranchMispredictRate[0],
 	}
-	if len(res.Intervals) > 0 {
-		out.Intervals = intervalSamples(res.Intervals[0])
+	if len(res.Intervals) > 0 && len(res.Intervals[0]) > 0 {
+		out.Intervals = res.Intervals[0]
 	}
 	return out, nil
 }
@@ -514,14 +473,7 @@ func (e *Engine) RunSingle(ctx context.Context, cfg Config, benchmark string) (S
 // matched instruction counts (the paper's methodology). References come
 // from the engine's Cache.
 func (e *Engine) RunWorkload(ctx context.Context, cfg Config, w Workload, p Policy) (WorkloadResult, error) {
-	if err := checkWorkload(cfg, w.Benchmarks); err != nil {
-		return WorkloadResult{}, err
-	}
-	res, err := e.runner.RunWorkloadCtx(ctx, cfg, w, p, nil)
-	if err != nil {
-		return WorkloadResult{}, wrapErr(err)
-	}
-	return workloadResult(w, res), nil
+	return e.RunRequest(ctx, Request{Config: cfg, Workload: w, Policy: p})
 }
 
 // RunRequest executes one Request — configuration, workload, policy and
@@ -533,11 +485,7 @@ func (e *Engine) RunRequest(ctx context.Context, req Request) (WorkloadResult, e
 	if err := checkWorkload(req.Config, req.Workload.Benchmarks); err != nil {
 		return WorkloadResult{}, err
 	}
-	every := req.TraceInterval
-	if every == 0 {
-		every = e.runner.Params.TraceInterval
-	}
-	res, err := e.runner.RunWorkloadTracedCtx(ctx, req.Config, req.Workload, req.Policy, nil, every)
+	res, err := e.runner.RunWorkloadCtx(ctx, req.simRequest())
 	if err != nil {
 		return WorkloadResult{}, wrapErr(err)
 	}
@@ -563,8 +511,8 @@ func workloadResult(w Workload, res sim.WorkloadResult) WorkloadResult {
 			CPIST:     res.PerThread[i].CPIST,
 			CPIMT:     res.PerThread[i].CPIMT,
 		}
-		if i < len(res.Result.Intervals) {
-			tr.Intervals = intervalSamples(res.Result.Intervals[i])
+		if i < len(res.Result.Intervals) && len(res.Result.Intervals[i]) > 0 {
+			tr.Intervals = res.Result.Intervals[i]
 		}
 		out.Threads = append(out.Threads, tr)
 	}
@@ -585,6 +533,17 @@ type Request struct {
 	// WithIntervalTrace setting. Like Tag it is deliberately excluded from
 	// Fingerprint: traces observe a simulation, they do not change it.
 	TraceInterval int64 `json:"trace_interval,omitempty"`
+}
+
+// simRequest maps a Request onto the runner's request shape.
+func (req Request) simRequest() sim.BatchRequest {
+	return sim.BatchRequest{
+		Tag:           req.Tag,
+		Config:        req.Config,
+		Workload:      req.Workload,
+		Kind:          req.Policy,
+		TraceInterval: req.TraceInterval,
+	}
 }
 
 // BatchResult pairs a finished Request with its outcome. Index is the
@@ -659,8 +618,8 @@ func CrossProduct(cfg Config, workloads []Workload, policies []Policy) []Request
 // parallelism and streams results back as they complete. The returned
 // channel is buffered for the whole batch and always closes after exactly
 // len(reqs) results, so a canceled or abandoned batch still drains cleanly.
-// Once ctx is done, requests not yet started complete immediately with an
-// ErrCanceled-wrapped error; requests with unknown benchmarks fail with
+// Once ctx is done, requests not yet started complete without simulating,
+// with an ErrCanceled-wrapped error; requests with unknown benchmarks fail with
 // ErrUnknownBenchmark without occupying the pool. Single-threaded
 // references are shared through the engine's Cache, so a policy x workload
 // cross-product computes each reference once.
@@ -678,13 +637,7 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) <-chan BatchResul
 			invalid++
 			continue
 		}
-		simReqs = append(simReqs, sim.BatchRequest{
-			Tag:           req.Tag,
-			Config:        req.Config,
-			Workload:      req.Workload,
-			Kind:          req.Policy,
-			TraceInterval: req.TraceInterval,
-		})
+		simReqs = append(simReqs, req.simRequest())
 		simIdx = append(simIdx, i)
 	}
 
