@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -16,6 +17,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"smtmlp"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer for capturing run's output
@@ -366,17 +369,37 @@ func TestServedShutdownCancelsInFlightBatch(t *testing.T) {
 	}
 	// Read one byte so the stream is known to be live, then shut down with
 	// the batch still running.
-	if _, err := io.ReadAtLeast(resp.Body, make([]byte, 1), 1); err != nil {
+	first := make([]byte, 1)
+	if _, err := io.ReadAtLeast(resp.Body, first, 1); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
 	code := shutdown()
+	elapsed := time.Since(start)
+	// The handler drains the batch before the server stops: canceled cells
+	// still stream, as error lines. Count the cells that delivered a result.
+	dec := json.NewDecoder(io.MultiReader(bytes.NewReader(first), resp.Body))
+	results := 0
+	for {
+		var line smtmlp.BatchResult
+		if err := dec.Decode(&line); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("reading the batch stream after shutdown: %v", err)
+		}
+		if line.Err == nil {
+			results++
+		}
+	}
 	resp.Body.Close()
 	http.DefaultClient.CloseIdleConnections()
 	if code != 0 {
 		t.Fatalf("shutdown exit code %d", code)
 	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
+	if elapsed > 10*time.Second {
 		t.Fatalf("shutdown took %v — in-flight batch was not canceled", elapsed)
+	}
+	if results >= 30 {
+		t.Fatalf("the stream delivered all %d results — the in-flight batch ran to completion instead of canceling", results)
 	}
 }

@@ -10,10 +10,11 @@ import (
 
 // TestKernelDeterminismAgainstBench replays the Table III workloads pinned in
 // BENCH_6.json — the snapshot taken before the allocation-free kernel rewrite
-// (pooled uop arena, bitmap wakeup, ring-buffer ROB/FEQ, open-addressed MSHR
-// table, incremental skip-ahead) — and requires cycle- and instruction-exact
-// agreement. Unlike TestPerfSnapshot this needs no flags, so every `go test
-// ./...` proves the kernel optimizations changed speed and nothing else.
+// (pooled uop arena, ring-buffer ROB/FEQ, open-addressed MSHR table,
+// incremental skip-ahead) and its event-driven issue wakeup — and requires
+// cycle- and instruction-exact agreement. Unlike TestPerfSnapshot this needs
+// no flags, so every `go test ./...` proves the kernel optimizations changed
+// speed and nothing else.
 func TestKernelDeterminismAgainstBench(t *testing.T) {
 	data, err := os.ReadFile("BENCH_6.json")
 	if err != nil {

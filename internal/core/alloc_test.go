@@ -30,8 +30,9 @@ func stepN(c *Core, n uint64) {
 
 // TestSteadyStateZeroAlloc pins the tentpole claim: a warmed-up cycle kernel
 // performs zero heap allocations per committed instruction. The uop arena,
-// ring-buffer ROB/FEQ, typed event heap, bitmap wakeup and open-addressed
-// MSHR table leave nothing to allocate on the hot path.
+// ring-buffer ROB/FEQ, typed event heap, pre-sized ready lists with
+// waiter lists threaded through the uops, and open-addressed MSHR table
+// leave nothing to allocate on the hot path.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -1,13 +1,15 @@
 package core
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // This file implements the allocation-free hot structures of the cycle
-// kernel: a pooled uop arena with generation-tagged slots, the done-bit
-// scoreboard that replaces per-uop dependent pointer lists (bitmap wakeup),
-// the UopSet bitmap that replaces the fetch policies' map-based gate sets,
-// and the fixed-capacity ring buffers backing the per-thread ROB and
-// front-end queues.
+// kernel: a pooled uop arena whose slots carry the heads of the producers'
+// waiter lists (event-driven wakeup), the UopSet bitmap that replaces the
+// fetch policies' map-based gate sets, and the fixed-capacity ring buffers
+// backing the per-thread ROB and front-end queues.
 //
 // Lifecycle invariants (see DESIGN.md "Cycle kernel internals"):
 //
@@ -15,10 +17,9 @@ import "math/bits"
 //     state (committed or squashed) with no remaining references. References
 //     are pending events in the core's time queue plus issue-queue residency;
 //     Core.freeIfDead is the single release point.
-//   - Slot reuse bumps the slot's generation, so stale (index, generation)
-//     pairs held by consumers resolve as "producer long gone" — which always
-//     means "source ready", because a producer is only released after it
-//     completed or after its consumers were squashed with it.
+//   - A released slot's waiter list is empty: a producer's list is walked
+//     and cleared when it completes or is squashed, both before release, and
+//     a consumer leaves every list when its source arrives or it is squashed.
 //   - Policies must drop a uop from their UopSets no later than the
 //     OnLoadComplete/OnSquash hook for it; both hooks run before the uop can
 //     be released, so a set never holds a recycled index.
@@ -37,10 +38,9 @@ const (
 // nothing: slots recycle through a LIFO free list (hottest slot first, which
 // keeps the working set small).
 type uopArena struct {
-	blocks [][]Uop  // fixed-size blocks; pointers into them are stable
-	gen    []uint32 // per-slot generation, bumped on every alloc
-	done   []uint64 // scoreboard bitmap: slot's uop is done or squashed
-	free   []int32  // LIFO free list of slot indices
+	blocks  [][]Uop // fixed-size blocks; pointers into them are stable
+	waiters []int32 // per slot: head node of its uop's waiter list, -1 when empty
+	free    []int32 // LIFO free list of slot indices
 
 	allocated uint64 // lifetime allocs (tests assert pooling works)
 }
@@ -62,8 +62,7 @@ func newUopArena(capacity int) *uopArena {
 func (a *uopArena) grow() {
 	base := int32(len(a.blocks) << arenaBlockShift)
 	a.blocks = append(a.blocks, make([]Uop, arenaBlockSize))
-	a.gen = append(a.gen, make([]uint32, arenaBlockSize)...)
-	a.done = append(a.done, make([]uint64, arenaBlockSize/64)...)
+	a.waiters = append(a.waiters, slices.Repeat([]int32{-1}, arenaBlockSize)...)
 	// Push in reverse so the lowest index pops first.
 	for i := arenaBlockSize - 1; i >= 0; i-- {
 		a.free = append(a.free, base+int32(i))
@@ -81,9 +80,9 @@ func (a *uopArena) at(idx int32) *Uop {
 	return &a.blocks[idx>>arenaBlockShift][idx&arenaBlockMask]
 }
 
-// alloc returns a fresh uop with every field zeroed, both sources ready and
-// a new generation. Amortized allocation-free: it only grows the backing
-// store when more uops are in flight than ever before.
+// alloc returns a fresh uop with every field zeroed and neither source
+// waiting. Amortized allocation-free: it only grows the backing store when
+// more uops are in flight than ever before.
 func (a *uopArena) alloc() *Uop {
 	if len(a.free) == 0 {
 		a.grow()
@@ -91,9 +90,7 @@ func (a *uopArena) alloc() *Uop {
 	idx := a.free[len(a.free)-1]
 	a.free = a.free[:len(a.free)-1]
 	u := a.at(idx)
-	*u = Uop{arenaIdx: idx, src1Prod: -1, src2Prod: -1}
-	a.gen[idx]++
-	a.done[idx>>6] &^= 1 << (uint(idx) & 63)
+	*u = Uop{arenaIdx: idx, src: unlinked}
 	a.allocated++
 	return u
 }
@@ -105,17 +102,41 @@ func (a *uopArena) release(u *Uop) {
 	a.free = append(a.free, u.arenaIdx)
 }
 
-// markDone sets u's scoreboard bit: u will never produce a value later than
-// now, so any consumer registered against u's slot and generation is ready.
-func (a *uopArena) markDone(u *Uop) {
-	a.done[u.arenaIdx>>6] |= 1 << (uint(u.arenaIdx) & 63)
+// node resolves a waiter-list node to its source link.
+func (a *uopArena) node(n int32) *srcLink { return &a.at(n >> 1).src[n&1] }
+
+// link makes source s of consumer u wait on producer p: the source's node
+// joins the head of p's waiter list.
+func (a *uopArena) link(p, u *Uop, s int32) {
+	n := u.arenaIdx<<1 | s
+	head := a.waiters[p.arenaIdx]
+	u.src[s] = srcLink{prod: p.arenaIdx, prev: -1, next: head}
+	if head >= 0 {
+		a.node(head).prev = n
+	}
+	a.waiters[p.arenaIdx] = n
+	u.pending++
 }
 
-// srcReady reports whether the producer registered as (idx, gen) can no
-// longer delay a consumer: either its slot was recycled (the producer
-// completed or was squashed along with its consumers) or its done bit is set.
-func (a *uopArena) srcReady(idx int32, gen uint32) bool {
-	return a.gen[idx] != gen || a.done[idx>>6]&(1<<(uint(idx)&63)) != 0
+// unlink takes every waiting source of u out of its producer's list; a
+// squashed consumer waits on nothing.
+func (a *uopArena) unlink(u *Uop) {
+	for s := range u.src {
+		l := &u.src[s]
+		if l.prod < 0 {
+			continue
+		}
+		if l.prev >= 0 {
+			a.node(l.prev).next = l.next
+		} else {
+			a.waiters[l.prod] = l.next
+		}
+		if l.next >= 0 {
+			a.node(l.next).prev = l.prev
+		}
+	}
+	u.src = unlinked
+	u.pending = 0
 }
 
 // UopSet is a bitmap set of in-flight uops keyed by arena slot, the

@@ -78,8 +78,12 @@ type Core struct {
 	renIntUsed, renFPUsed int
 	wbUsed                int
 
-	iqInt []*Uop // integer issue queue, dispatch (age) order
-	iqFP  []*Uop // floating-point issue queue
+	// Ready lists: the issue-queue residents the issue stage acts on —
+	// every source available, or squashed and awaiting release — in
+	// dispatch order. Residents still waiting sit only in their producers'
+	// waiter lists until their last source arrives.
+	readyInt, readyFP []*Uop
+	dispatchSeq       uint64 // last dispatch sequence number handed out
 
 	commitRR   int
 	dispatchRR int
@@ -145,8 +149,8 @@ func New(cfg Config, models []trace.Model, policy Policy, limiter Limiter) *Core
 		}
 		c.threads = append(c.threads, t)
 	}
-	c.iqInt = make([]*Uop, 0, cfg.IQInt)
-	c.iqFP = make([]*Uop, 0, cfg.IQFP)
+	c.readyInt = make([]*Uop, 0, cfg.IQInt)
+	c.readyFP = make([]*Uop, 0, cfg.IQFP)
 	policy.Attach(c)
 	return c
 }
@@ -282,6 +286,12 @@ func (c *Core) squash(t *thread, u *Uop, dispatched bool) {
 			c.iqIntUsed--
 			t.iqIntCount--
 		}
+		if u.pending > 0 {
+			// A waiting resident moves to its ready list, where the next
+			// issue pass releases it in queue order.
+			c.arena.unlink(u)
+			c.makeReady(u)
+		}
 	}
 	if dispatched {
 		c.robUsed--
@@ -301,7 +311,7 @@ func (c *Core) squash(t *thread, u *Uop, dispatched bool) {
 		}
 	}
 	u.state = stateSquashed
-	c.arena.markDone(u) // squashed producers never wake anyone later
+	c.wake(u) // a squashed producer delays no consumer
 	t.squashedCount++
 	c.policy.OnSquash(u)
 	c.freeIfDead(u)
@@ -451,9 +461,7 @@ func (c *Core) processEvents() {
 				break
 			}
 			u.state = stateDone
-			// Scoreboard wakeup: consumers observe the done bit at issue
-			// time instead of the producer walking a dependent list.
-			c.arena.markDone(u)
+			c.wake(u)
 			if u.In.Class == isa.Branch && u.Mispredicted {
 				t := c.threads[u.Tid]
 				if t.redirect == u {
@@ -551,16 +559,49 @@ func execLatency(class isa.Class) int64 {
 	}
 }
 
+// wake walks and clears p's waiter list once p has completed or been
+// squashed: p delays no consumer any longer, and a consumer whose last
+// source arrives joins its ready list.
+func (c *Core) wake(p *Uop) {
+	a := c.arena
+	for n := a.waiters[p.arenaIdx]; n >= 0; {
+		u := a.at(n >> 1)
+		l := &u.src[n&1]
+		n = l.next
+		l.prod = -1
+		if u.pending--; u.pending == 0 {
+			c.makeReady(u)
+		}
+	}
+	a.waiters[p.arenaIdx] = -1
+}
+
+// makeReady inserts u into its class's ready list by dispatch sequence.
+func (c *Core) makeReady(u *Uop) {
+	q := &c.readyInt
+	if u.In.Class.IsFP() {
+		q = &c.readyFP
+	}
+	r := append(*q, u)
+	i := len(r) - 1
+	for ; i > 0 && r[i-1].dseq > u.dseq; i-- {
+		r[i] = r[i-1]
+	}
+	r[i] = u
+	*q = r
+}
+
 // issue selects ready instructions oldest-first from the issue queues,
 // bounded by IssueWidth and per-class functional unit counts, and schedules
-// their completion. Loads access the memory hierarchy here. Readiness is a
-// scoreboard probe against the arena's done bitmap (bitmap wakeup).
+// their completion. Loads access the memory hierarchy here. Only the ready
+// lists are walked: they hold, in queue order, exactly the residents that
+// can issue or must be released, so the stage's cost follows them and not
+// the residents still waiting on a producer.
 func (c *Core) issue() {
 	budget := c.cfg.IssueWidth
 	alu := c.cfg.IntALUs
 	ldst := c.cfg.LdStUnits
 	fp := c.cfg.FPUnits
-	arena := c.arena
 
 	scan := func(q []*Uop) []*Uop {
 		kept := q[:0]
@@ -572,7 +613,7 @@ func (c *Core) issue() {
 				c.freeIfDead(u)
 				continue
 			}
-			if budget <= 0 || !u.readyIn(arena) {
+			if budget <= 0 {
 				kept = append(kept, u)
 				continue
 			}
@@ -596,8 +637,8 @@ func (c *Core) issue() {
 		}
 		return kept
 	}
-	c.iqInt = scan(c.iqInt)
-	c.iqFP = scan(c.iqFP)
+	c.readyInt = scan(c.readyInt)
+	c.readyFP = scan(c.readyFP)
 }
 
 func (c *Core) issueUop(u *Uop) {
@@ -729,38 +770,38 @@ func (c *Core) dispatchUop(t *thread, u *Uop) {
 		}
 	}
 
-	// Rename: register sources against in-flight producers.
-	u.src1Prod, u.src1Gen = c.resolveProducer(t, u.In.Src1)
-	u.src2Prod, u.src2Gen = c.resolveProducer(t, u.In.Src2)
+	// Rename: a source whose producer is still in flight waits in that
+	// producer's waiter list.
+	c.linkSource(t, u, 0, u.In.Src1)
+	c.linkSource(t, u, 1, u.In.Src2)
 	if u.In.HasDest() {
 		t.renameMap[u.In.Dest] = u
 	}
 
 	u.refs++ // issue-queue residency pins the arena slot
+	c.dispatchSeq++
+	u.dseq = c.dispatchSeq
 	if u.In.Class.IsFP() {
-		c.iqFP = append(c.iqFP, u)
 		c.iqFPUsed++
 		t.iqFPCount++
 	} else {
-		c.iqInt = append(c.iqInt, u)
 		c.iqIntUsed++
 		t.iqIntCount++
 	}
+	if u.pending == 0 {
+		c.makeReady(u) // the youngest resident: appended at the end
+	}
 }
 
-// resolveProducer resolves one source operand at rename time: it returns the
-// in-flight producer's arena slot and generation, or (-1, 0) when the
-// operand is already available. The consumer's readiness is then a
-// scoreboard probe — no producer-side dependent list is maintained.
-func (c *Core) resolveProducer(t *thread, reg int16) (int32, uint32) {
+// linkSource makes source s of u wait on reg's producer when that producer
+// is dispatched but not yet done.
+func (c *Core) linkSource(t *thread, u *Uop, s int32, reg int16) {
 	if reg == isa.RegNone {
-		return -1, 0
+		return
 	}
-	p := t.renameMap[reg]
-	if p == nil || p.Done() || p.Squashed() {
-		return -1, 0
+	if p := t.renameMap[reg]; p != nil && !p.Done() && !p.Squashed() {
+		c.arena.link(p, u, s)
 	}
-	return p.arenaIdx, c.arena.gen[p.arenaIdx]
 }
 
 // fetch implements ICOUNT 2.4: up to FetchWidth instructions per cycle from

@@ -25,9 +25,10 @@ const (
 // Uops live in the core's pooled arena: they are allocated at fetch and
 // recycled at commit or squash once no event or issue-queue reference
 // remains, so steady-state simulation performs no per-instruction heap
-// allocation. Operand wakeup is scoreboard-based: instead of producer-held
-// dependent lists, each uop records its producers as (arena slot, generation)
-// pairs and readiness is a bitmap probe (see arena.go).
+// allocation. Operand wakeup is producer-driven: at dispatch each source
+// still waiting on an in-flight producer is linked into that producer's
+// waiter list (see arena.go), and the producer's completion or squash walks
+// the list once, moving consumers whose last source arrived onto a ready list.
 type Uop struct {
 	In  isa.Instr
 	Tid int
@@ -38,10 +39,12 @@ type Uop struct {
 	arenaIdx  int32 // slot in the core's uop arena
 	refs      int32 // pending events + issue-queue residency pinning the slot
 
-	// Source producers, registered at rename: the arena slot (or -1 when the
-	// operand was ready at rename) and the slot's generation at registration.
-	src1Prod, src2Prod int32
-	src1Gen, src2Gen   uint32
+	// Wakeup state, set at dispatch: dseq is the issue queues' age order,
+	// pending counts the sources still waiting on an in-flight producer, and
+	// src holds each source's node in its producer's waiter list.
+	dseq    uint64
+	pending int32
+	src     [2]srcLink
 
 	// Branch bookkeeping (filled at fetch).
 	Mispredicted bool
@@ -62,27 +65,16 @@ func (u *Uop) Squashed() bool { return u.state == stateSquashed }
 // Done reports whether the uop has finished executing.
 func (u *Uop) Done() bool { return u.state == stateDone }
 
-// readyIn reports whether both sources are available: a source is ready when
-// it had no in-flight producer at rename, or when its producer's arena slot
-// reports done (scoreboard bit) or was recycled (generation mismatch — the
-// producer completed or was squashed together with this consumer).
-// Readiness is monotonic, so a successful probe clears the producer link and
-// later probes of the same waiting uop cost two integer compares.
-func (u *Uop) readyIn(a *uopArena) bool {
-	if u.src1Prod >= 0 {
-		if !a.srcReady(u.src1Prod, u.src1Gen) {
-			return false
-		}
-		u.src1Prod = -1
-	}
-	if u.src2Prod >= 0 {
-		if !a.srcReady(u.src2Prod, u.src2Gen) {
-			return false
-		}
-		u.src2Prod = -1
-	}
-	return true
+// srcLink is one source operand's node in its producer's waiter list, a
+// doubly linked list threaded through the consumers' uops. A node is named
+// consumer slot<<1 | source index; -1 ends a list.
+type srcLink struct {
+	prod       int32 // producer's arena slot; -1 when the source is not waiting
+	prev, next int32 // neighbouring nodes in the producer's list
 }
+
+// unlinked is the state of both sources of a uop that waits on nothing.
+var unlinked = [2]srcLink{{-1, -1, -1}, {-1, -1, -1}}
 
 // event kinds processed by the core's time queue.
 type eventKind uint8

@@ -87,38 +87,6 @@ func TestUopAccessors(t *testing.T) {
 	}
 }
 
-func TestUopReadiness(t *testing.T) {
-	a := newUopArena(64)
-	p1 := a.alloc()
-	p2 := a.alloc()
-	u := a.alloc()
-	u.src1Prod, u.src1Gen = p1.arenaIdx, a.gen[p1.arenaIdx]
-	u.src2Prod, u.src2Gen = p2.arenaIdx, a.gen[p2.arenaIdx]
-	if u.readyIn(a) {
-		t.Fatal("uop with two in-flight producers reports ready")
-	}
-	a.markDone(p1)
-	if u.readyIn(a) {
-		t.Fatal("uop with one in-flight producer reports ready")
-	}
-	a.markDone(p2)
-	if !u.readyIn(a) {
-		t.Fatal("uop with both producers done not ready")
-	}
-
-	// A recycled producer slot (generation mismatch) also reads as ready.
-	v := a.alloc()
-	v.src1Prod, v.src1Gen = p1.arenaIdx, a.gen[p1.arenaIdx]
-	a.release(p1)
-	r := a.alloc() // reuses p1's slot (LIFO free list), bumping its generation
-	if r.arenaIdx != v.src1Prod {
-		t.Fatalf("expected slot reuse, got %d vs %d", r.arenaIdx, v.src1Prod)
-	}
-	if !v.readyIn(a) {
-		t.Fatal("consumer of a recycled producer slot not ready")
-	}
-}
-
 func TestExecLatencies(t *testing.T) {
 	if execLatency(isa.IntALU) != 1 || execLatency(isa.Branch) != 1 {
 		t.Fatal("single-cycle classes wrong")

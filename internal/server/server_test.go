@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -379,6 +380,17 @@ func waitForDrain(t *testing.T, eng *smtmlp.Engine, deadline time.Duration) time
 	return 0
 }
 
+// countingGate admits every simulation at once and counts how many started.
+type countingGate struct{ started atomic.Int64 }
+
+func (g *countingGate) Acquire(ctx context.Context) (func(), error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	g.started.Add(1)
+	return func() {}, nil
+}
+
 // TestBatchClientDisconnectCancelsAndDrains is the other acceptance
 // criterion: a client that walks away mid-stream cancels the batch; the
 // worker pool drains promptly (not after finishing the whole batch) and no
@@ -387,16 +399,18 @@ func TestBatchClientDisconnectCancelsAndDrains(t *testing.T) {
 	if testing.Short() {
 		t.Skip("disconnect test runs a deliberately long batch")
 	}
-	eng := testEngine(smtmlp.WithParallelism(1))
+	gate := &countingGate{}
+	eng := testEngine(smtmlp.WithParallelism(1), smtmlp.WithSlotGate(gate))
 	srv := server.New(eng)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	goroutinesBefore := runtime.NumGoroutine()
 
-	// 80 workloads x 3 policies = 240 sequential simulations: running the
-	// whole batch takes >1s even with the fast cycle kernel, so a prompt
-	// drain is distinguishable from "finished everything anyway".
+	// 80 workloads x 3 policies = 240 sequential simulations. A fast kernel
+	// can finish them all in about as long as a drain may take, so the test
+	// counts the simulations that started: a canceled batch starts only the
+	// few in flight when the client left.
 	var workloads []string
 	for i := 0; i < 40; i++ {
 		workloads = append(workloads, `["mcf","galgel"]`, `["swim","twolf"]`)
@@ -413,21 +427,31 @@ func TestBatchClientDisconnectCancelsAndDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close() // the client walks away mid-stream
+	left := time.Now()
 
 	drain := waitForDrain(t, eng, 10*time.Second)
-	// A canceled batch drains in roughly one in-flight simulation; the full
-	// batch would need over a second even on a fast machine.
+	// A canceled batch drains in roughly one in-flight simulation.
 	if drain > 3*time.Second {
 		t.Fatalf("drain took %v — looks like the batch ran to completion instead of canceling", drain)
 	}
+	if started := gate.started.Load(); started > 240/10 {
+		t.Fatalf("%d of 240 simulations started — the batch was not canceled when the client left", started)
+	}
 
+	// The engine drains before the handler returns; poll until it has.
 	var metrics server.MetricsResponse
-	decodeInto(t, get(t, srv, "/metrics"), &metrics)
+	for {
+		decodeInto(t, get(t, srv, "/metrics"), &metrics)
+		if metrics.Server.BatchesActive == 0 {
+			break
+		}
+		if time.Since(left) > 10*time.Second {
+			t.Fatalf("batches_active %d 10s after the client left", metrics.Server.BatchesActive)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	if metrics.Server.ClientsDropped == 0 {
 		t.Fatal("server never observed the disconnect")
-	}
-	if metrics.Server.BatchesActive != 0 {
-		t.Fatalf("batches_active %d after drain", metrics.Server.BatchesActive)
 	}
 
 	// No leaked workers: the goroutine count returns to (near) baseline once

@@ -1,12 +1,12 @@
 // Machine-readable performance snapshot: TestPerfSnapshot runs a fixed set
 // of representative workloads and writes per-workload wall time and
 // simulator throughput to the path given by -perf-out. The committed
-// baseline is BENCH_6.json; CI regenerates a fresh snapshot and compares it
-// against that baseline with -perf-baseline, which asserts only on the
+// baseline is BENCH_15.json; CI regenerates a fresh snapshot and compares it
+// against that baseline with -perf-baseline, which asserts the
 // deterministic simulator outputs (cycles, committed instructions — drift
 // there is a behavior change, so regenerate the baseline deliberately) and
-// prints wall-time ratios as information. Timing is never asserted, so the
-// test cannot flake on a loaded machine. Without -perf-out the test skips.
+// prints wall-time ratios. Timing is asserted only under -perf-gate, with
+// headroom for machine noise. Without -perf-out the test skips.
 package smtmlp_test
 
 import (
@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
 	"testing"
 	"time"
 
@@ -22,9 +21,8 @@ import (
 )
 
 var (
-	perfOut      = flag.String("perf-out", "", "write the perf snapshot JSON (e.g. BENCH_7.json) to this path")
-	perfBaseline = flag.String("perf-baseline", "", "committed snapshot to compare against (e.g. BENCH_7.json)")
-	perfPprof    = flag.String("perf-pprof", "", "capture a CPU profile of the measurement loop to this path")
+	perfOut      = flag.String("perf-out", "", "write the perf snapshot JSON (e.g. BENCH_15.json) to this path")
+	perfBaseline = flag.String("perf-baseline", "", "committed snapshot to compare against (e.g. BENCH_15.json)")
 	perfGate     = flag.Float64("perf-gate", 0, "fail if any workload's instr_per_sec falls below this fraction of the baseline's (0 disables; CI uses 0.75)")
 )
 
@@ -72,17 +70,6 @@ func TestPerfSnapshot(t *testing.T) {
 	}
 	snap := perfSnapshot{Schema: "smtmlp/perf/v1", Budget: budget, Warmup: warmup}
 	ctx := t.Context()
-	if *perfPprof != "" {
-		f, err := os.Create(*perfPprof)
-		if err != nil {
-			t.Fatalf("creating -perf-pprof file: %v", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			t.Fatalf("starting CPU profile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
 	for _, c := range cases {
 		w := smtmlp.Mix(c.benchmarks...)
 		cfg := smtmlp.DefaultConfig(len(c.benchmarks))
