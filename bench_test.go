@@ -6,8 +6,8 @@
 //	go test -bench=. -benchmem
 //
 // reproduces the whole evaluation in one run. cmd/repro prints the full
-// rows/series at configurable budgets; EXPERIMENTS.md records a reference
-// run at larger scale.
+// rows/series at configurable budgets (go run ./cmd/repro), and
+// reproduction_test.go checks the headline claims.
 package smtmlp_test
 
 import (

@@ -1,6 +1,7 @@
 // Command repro regenerates every table and figure of the paper's
 // evaluation. Each experiment prints the same rows or series the paper
-// reports; EXPERIMENTS.md records a reference run.
+// reports; reproduction_test.go checks the headline claims at a moderate
+// budget.
 //
 // Usage:
 //

@@ -10,8 +10,9 @@
 // possible nor required; what matters for the paper's experiments is that
 // each benchmark lands in the right class, with the right kind of miss
 // structure (isolated vs clustered, prefetchable vs irregular, short vs long
-// MLP distances). EXPERIMENTS.md records where each model's measured
-// characterization lands.
+// MLP distances). `go run ./cmd/repro -only table1` prints each model's
+// measured characterization beside these targets, and reproduction_test.go
+// checks that every benchmark lands in its class.
 package bench
 
 import (
@@ -43,7 +44,8 @@ func (c Class) String() string {
 // Benchmark couples a synthetic model with its Table I reference values.
 type Benchmark struct {
 	Model trace.Model
-	// Paper reference values (Table I) for EXPERIMENTS.md comparisons.
+	// Paper reference values (Table I), printed beside the measured ones by
+	// the table1 experiment.
 	PaperLLLPer1K float64
 	PaperMLP      float64
 	PaperImpact   float64 // fraction, e.g. 0.6039 for mcf

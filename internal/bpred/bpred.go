@@ -9,6 +9,8 @@
 // can use and therefore how the fetch policies interact.
 package bpred
 
+import "slices"
+
 // Config sizes the predictor. The zero value is not useful; use
 // DefaultConfig for the paper's baseline.
 type Config struct {
@@ -42,7 +44,7 @@ type Predictor struct {
 	table   []uint8 // 2-bit saturating counters
 	history uint64
 	histMax uint64
-	btb     [][]btbEntry // [set][way]
+	btb     []btbEntry // btbSets sets of cfg.BTBWays ways each, set by set
 	btbSets int
 	tick    uint64
 
@@ -53,6 +55,14 @@ type Predictor struct {
 
 // New returns a predictor sized by cfg with all counters weakly not-taken.
 func New(cfg Config) *Predictor {
+	p := &Predictor{}
+	p.Reset(cfg)
+	return p
+}
+
+// Reset restores p to New(cfg)'s state: untrained counters, empty history
+// and BTB, zero statistics. It reuses p's tables when they are large enough.
+func (p *Predictor) Reset(cfg Config) {
 	if cfg.GshareEntries <= 0 || cfg.BTBEntries <= 0 || cfg.BTBWays <= 0 {
 		cfg = DefaultConfig()
 	}
@@ -60,17 +70,21 @@ func New(cfg Config) *Predictor {
 	if sets < 1 {
 		sets = 1
 	}
-	btb := make([][]btbEntry, sets)
-	for i := range btb {
-		btb[i] = make([]btbEntry, cfg.BTBWays)
-	}
-	return &Predictor{
+	*p = Predictor{
 		cfg:     cfg,
-		table:   make([]uint8, cfg.GshareEntries),
+		table:   slices.Grow(p.table[:0], cfg.GshareEntries)[:cfg.GshareEntries],
 		histMax: (uint64(1) << uint(cfg.HistoryBits)) - 1,
-		btb:     btb,
+		btb:     slices.Grow(p.btb[:0], sets*cfg.BTBWays)[:sets*cfg.BTBWays],
 		btbSets: sets,
 	}
+	clear(p.table)
+	clear(p.btb)
+}
+
+// btbSet returns the ways of the BTB set pc maps to.
+func (p *Predictor) btbSet(pc uint64) []btbEntry {
+	i := int(pc%uint64(p.btbSets)) * p.cfg.BTBWays
+	return p.btb[i : i+p.cfg.BTBWays]
 }
 
 func (p *Predictor) index(pc uint64) int {
@@ -85,9 +99,9 @@ func (p *Predictor) index(pc uint64) int {
 // returned values against the actual outcome.
 func (p *Predictor) Predict(pc uint64) (taken bool, target uint64, targetValid bool) {
 	taken = p.table[p.index(pc)] >= 2
-	set := pc % uint64(p.btbSets)
-	for i := range p.btb[set] {
-		e := &p.btb[set][i]
+	set := p.btbSet(pc)
+	for i := range set {
+		e := &set[i]
 		if e.valid && e.tag == pc {
 			return taken, e.target, true
 		}
@@ -123,11 +137,11 @@ func (p *Predictor) Resolve(pc uint64, taken bool, target uint64) (mispredicted 
 	// BTB allocation/update for taken branches.
 	if taken {
 		p.tick++
-		set := pc % uint64(p.btbSets)
+		set := p.btbSet(pc)
 		victim := 0
 		var oldest uint64 = ^uint64(0)
-		for i := range p.btb[set] {
-			e := &p.btb[set][i]
+		for i := range set {
+			e := &set[i]
 			if e.valid && e.tag == pc {
 				victim = i
 				oldest = 0
@@ -141,7 +155,7 @@ func (p *Predictor) Resolve(pc uint64, taken bool, target uint64) (mispredicted 
 				victim, oldest = i, e.lru
 			}
 		}
-		p.btb[set][victim] = btbEntry{valid: true, tag: pc, target: target, lru: p.tick}
+		set[victim] = btbEntry{valid: true, tag: pc, target: target, lru: p.tick}
 	}
 
 	if mispredicted {

@@ -158,7 +158,8 @@ func TestEventQueueZeroesVacatedSlot(t *testing.T) {
 // TestRingPopsZeroSlots verifies the ring buffers do not retain popped uops
 // through their backing arrays either.
 func TestRingPopsZeroSlots(t *testing.T) {
-	r := newUopRing(4)
+	var r uopRing
+	r.reset(4)
 	a, b := &Uop{ID: 1}, &Uop{ID: 2}
 	r.pushBack(a)
 	r.pushBack(b)

@@ -45,17 +45,22 @@ type uopArena struct {
 	allocated uint64 // lifetime allocs (tests assert pooling works)
 }
 
-// newUopArena returns an arena with at least capacity slots.
-func newUopArena(capacity int) *uopArena {
-	a := &uopArena{}
-	nblocks := (capacity + arenaBlockSize - 1) >> arenaBlockShift
-	if nblocks < 1 {
-		nblocks = 1
-	}
-	for i := 0; i < nblocks; i++ {
+// reset empties the arena, keeping its blocks and growing it to at least
+// capacity slots. The free list is rebuilt in descending slot order, so
+// slots pop 0, 1, 2 and so on, exactly as a new arena hands them out while
+// it grows on demand: every uop gets the slot it would on a new core.
+func (a *uopArena) reset(capacity int) {
+	for a.cap() < capacity {
 		a.grow()
 	}
-	return a
+	a.free = a.free[:0]
+	for i := int32(a.cap()) - 1; i >= 0; i-- {
+		a.free = append(a.free, i)
+	}
+	for i := range a.waiters {
+		a.waiters[i] = -1
+	}
+	a.allocated = 0
 }
 
 // grow adds one block of slots to the free list.
@@ -224,13 +229,15 @@ type uopRing struct {
 	mask int
 }
 
-// newUopRing returns a ring holding at least capacity uops.
-func newUopRing(capacity int) uopRing {
+// reset empties r and sizes it to hold at least capacity uops, reusing its
+// buffer when it is large enough.
+func (r *uopRing) reset(capacity int) {
 	size := 1
 	for size < capacity {
 		size <<= 1
 	}
-	return uopRing{buf: make([]*Uop, size), mask: size - 1}
+	*r = uopRing{buf: slices.Grow(r.buf[:0], size)[:size], mask: size - 1}
+	clear(r.buf)
 }
 
 func (r *uopRing) len() int      { return r.n }

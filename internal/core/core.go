@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"smtmlp/internal/bpred"
 	"smtmlp/internal/isa"
@@ -13,9 +14,9 @@ import (
 // thread is the per-context pipeline state.
 type thread struct {
 	id     int
-	cursor *trace.Cursor
-	bp     *bpred.Predictor
-	mlp    *MLPState
+	cursor trace.Cursor
+	bp     bpred.Predictor
+	mlp    MLPState
 
 	feq uopRing // fetched, waiting out the front-end delay
 	rob uopRing // dispatched, not committed, oldest first
@@ -117,6 +118,17 @@ type Core struct {
 // fetch-policy-managed sharing). The memory hierarchy is created from
 // cfg.Mem with the thread count forced to len(models).
 func New(cfg Config, models []trace.Model, policy Policy, limiter Limiter) *Core {
+	c := &Core{}
+	c.Reset(cfg, models, policy, limiter)
+	return c
+}
+
+// Reset turns c — a zero Core, or one left by any run, even one a panic
+// aborted with uops in flight — into exactly the core New(cfg, models,
+// policy, limiter) returns, reusing every buffer c holds. Each structure's
+// reset carries over only buffers, so no state leaks into the next run, and
+// the last run's Result, which owns its memory, stays valid.
+func (c *Core) Reset(cfg Config, models []trace.Model, policy Policy, limiter Limiter) {
 	if len(models) == 0 {
 		panic("core: no workload models")
 	}
@@ -126,33 +138,47 @@ func New(cfg Config, models []trace.Model, policy Policy, limiter Limiter) *Core
 		policy = ICount{}
 	}
 	feqCap := cfg.FetchWidth * (cfg.FrontEndDelay + 1)
-	c := &Core{
-		cfg:     cfg,
-		policy:  policy,
-		limiter: limiter,
-		hier:    mem.New(cfg.Mem),
-		feqCap:  feqCap,
-		// In-flight uops are bounded by the front-end queues, the shared
-		// ROB and the write buffer; squashed uops awaiting completion
-		// events add transient slack, which the arena covers by growing.
-		arena: newUopArena(len(models)*feqCap + cfg.ROBSize + cfg.WriteBuffer + 64),
+	old := *c
+	*c = Core{
+		cfg:        cfg,
+		policy:     policy,
+		limiter:    limiter,
+		hier:       reuse(old.hier),
+		threads:    slices.Grow(old.threads[:0], len(models))[:len(models)],
+		arena:      reuse(old.arena),
+		events:     old.events,
+		readyInt:   slices.Grow(old.readyInt[:0], cfg.IQInt),
+		readyFP:    slices.Grow(old.readyFP[:0], cfg.IQFP),
+		feqCap:     feqCap,
+		fetchCands: slices.Grow(old.fetchCands[:0], len(models)),
 	}
-	c.fetchCands = make([]fetchCand, 0, len(models))
+	c.hier.Reset(cfg.Mem)
+	// In-flight uops are bounded by the front-end queues, the shared ROB and
+	// the write buffer; squashed uops awaiting completion events add
+	// transient slack, which the arena covers by growing.
+	c.arena.reset(len(models)*feqCap + cfg.ROBSize + cfg.WriteBuffer + 64)
+	c.events.reset()
 	for i, m := range models {
-		t := &thread{
-			id:     i,
-			cursor: trace.NewCursor(trace.NewGenerator(m, i)),
-			bp:     bpred.New(cfg.Bpred),
-			mlp:    newMLPState(cfg.PredictorEntries, cfg.llsrSize()),
-			feq:    newUopRing(feqCap),
-			rob:    newUopRing(cfg.ROBSize),
-		}
-		c.threads = append(c.threads, t)
+		t := reuse(c.threads[i])
+		// The profile is never carried over: the last Result holds it.
+		*t = thread{id: i, cursor: t.cursor, bp: t.bp, mlp: t.mlp, feq: t.feq, rob: t.rob}
+		t.cursor.Reset(m, i)
+		t.bp.Reset(cfg.Bpred)
+		t.mlp.reset(cfg.PredictorEntries, cfg.llsrSize())
+		t.feq.reset(feqCap)
+		t.rob.reset(cfg.ROBSize)
+		c.threads[i] = t
 	}
-	c.readyInt = make([]*Uop, 0, cfg.IQInt)
-	c.readyFP = make([]*Uop, 0, cfg.IQFP)
 	policy.Attach(c)
-	return c
+}
+
+// reuse returns p, or a new zero T when p is nil, so Reset rebuilds a zero
+// Core's structures through the same path as a used one's.
+func reuse[T any](p *T) *T {
+	if p == nil {
+		return new(T)
+	}
+	return p
 }
 
 // --- accessors used by policies, limiters and experiments ---
@@ -167,7 +193,7 @@ func (c *Core) Now() int64 { return c.now }
 func (c *Core) Threads() int { return len(c.threads) }
 
 // MLPState returns thread tid's MLP predictor state.
-func (c *Core) MLPState(tid int) *MLPState { return c.threads[tid].mlp }
+func (c *Core) MLPState(tid int) *MLPState { return &c.threads[tid].mlp }
 
 // Hierarchy returns the shared memory hierarchy.
 func (c *Core) Hierarchy() *mem.Hierarchy { return c.hier }

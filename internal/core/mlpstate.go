@@ -1,6 +1,10 @@
 package core
 
-import "smtmlp/internal/mlp"
+import (
+	"slices"
+
+	"smtmlp/internal/mlp"
+)
 
 // MLPState bundles the per-thread MLP machinery of Section 4: the
 // miss-pattern long-latency load predictor (front end), the LLSR (commit
@@ -9,10 +13,10 @@ import "smtmlp/internal/mlp"
 // the active fetch policy, so characterization experiments (Figures 4, 6, 7
 // and 8) and the MLP-aware policies see exactly the same machinery.
 type MLPState struct {
-	MissPattern *mlp.MissPatternPredictor
-	LLSR        *mlp.LLSR
-	Distance    *mlp.DistancePredictor
-	Binary      *mlp.BinaryPredictor
+	MissPattern mlp.MissPatternPredictor
+	LLSR        mlp.LLSR
+	Distance    mlp.DistancePredictor
+	Binary      mlp.BinaryPredictor
 
 	// Binary MLP prediction accounting at LLSR-update time (Figure 7):
 	// does the predicted distance agree with the measured distance about
@@ -26,14 +30,21 @@ type MLPState struct {
 	DistanceHist []uint64 // histogram of measured MLP distances (Figure 4)
 }
 
-func newMLPState(entries, llsrSize int) *MLPState {
-	return &MLPState{
-		MissPattern:  mlp.NewMissPatternPredictor(entries, 6),
-		LLSR:         mlp.NewLLSR(llsrSize),
-		Distance:     mlp.NewDistancePredictor(entries, llsrSize),
-		Binary:       mlp.NewBinaryPredictor(entries),
-		DistanceHist: make([]uint64, llsrSize+1),
+// reset restores s to untrained predictors with the given table and LLSR
+// sizes and zero accounting, reusing its tables.
+func (s *MLPState) reset(entries, llsrSize int) {
+	*s = MLPState{
+		MissPattern:  s.MissPattern,
+		LLSR:         s.LLSR,
+		Distance:     s.Distance,
+		Binary:       s.Binary,
+		DistanceHist: slices.Grow(s.DistanceHist[:0], llsrSize+1)[:llsrSize+1],
 	}
+	clear(s.DistanceHist)
+	s.MissPattern.Reset(entries, 6)
+	s.LLSR.Reset(llsrSize)
+	s.Distance.Reset(entries, llsrSize)
+	s.Binary.Reset(entries)
 }
 
 // observeCommit feeds one committed instruction into the LLSR and, when a

@@ -123,6 +123,18 @@ type eventQueue struct {
 	inWheel int
 }
 
+// reset drops every pending event, keeping the heap's and the buckets'
+// backing arrays (cleared, so they pin no uop).
+func (q *eventQueue) reset() {
+	clear(q.items)
+	old := *q
+	*q = eventQueue{items: old.items[:0]}
+	for i, b := range old.wheel {
+		clear(b.evs)
+		q.wheel[i].evs = b.evs[:0]
+	}
+}
+
 func (q *eventQueue) less(i, j int) bool {
 	if q.items[i].cycle != q.items[j].cycle {
 		return q.items[i].cycle < q.items[j].cycle

@@ -14,6 +14,8 @@
 // (Table I, fifth column).
 package mem
 
+import "slices"
+
 // CacheConfig sizes one level of the hierarchy.
 type CacheConfig struct {
 	SizeBytes int   `json:"size_bytes"` // total capacity
@@ -41,19 +43,31 @@ type Cache struct {
 // NewCache returns an empty cache sized by cfg. Sets are derived from
 // capacity, associativity and line size; cfg must describe at least one set.
 func NewCache(cfg CacheConfig) *Cache {
+	c := &Cache{}
+	c.Reset(cfg)
+	return c
+}
+
+// Reset empties c and sizes it by cfg, reusing its arrays when they are large
+// enough. Clearing the valid bits alone is exact: a way's tag and LRU stamp
+// are read only while it is valid (Insert fills an invalid way in preference
+// to any valid one and compares only valid ways' stamps), so whatever an
+// invalid way still holds is never seen.
+func (c *Cache) Reset(cfg CacheConfig) {
 	sets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
 	if sets < 1 {
 		sets = 1
 	}
 	n := sets * cfg.Ways
-	return &Cache{
+	*c = Cache{
 		sets:    sets,
 		ways:    cfg.Ways,
 		latency: cfg.Latency,
-		tags:    make([]uint64, n),
-		valid:   make([]bool, n),
-		lru:     make([]uint64, n),
+		tags:    slices.Grow(c.tags[:0], n)[:n],
+		valid:   slices.Grow(c.valid[:0], n)[:n],
+		lru:     slices.Grow(c.lru[:0], n)[:n],
 	}
+	clear(c.valid)
 }
 
 // Latency returns the hit latency of this level.
@@ -99,8 +113,9 @@ func (c *Cache) Insert(line uint64) (evicted uint64, hadVictim bool) {
 			victim, oldest = i, c.lru[i]
 		}
 	}
-	hadVictim = c.valid[victim]
-	evicted = c.tags[victim]
+	if c.valid[victim] {
+		evicted, hadVictim = c.tags[victim], true
+	}
 	c.tick++
 	c.tags[victim] = line
 	c.valid[victim] = true
@@ -142,11 +157,24 @@ type TLB struct {
 
 // NewTLB returns a TLB with the given number of entries and page size.
 func NewTLB(entries int, pageBytes int) *TLB {
+	t := &TLB{}
+	t.Reset(entries, pageBytes)
+	return t
+}
+
+// Reset restores t to NewTLB(entries, pageBytes)'s empty state, keeping the
+// map's buckets.
+func (t *TLB) Reset(entries int, pageBytes int) {
 	bits := uint(0)
 	for (1 << bits) < pageBytes {
 		bits++
 	}
-	return &TLB{entries: entries, pageBits: bits, pages: make(map[uint64]uint64, entries+1)}
+	pages := t.pages
+	if pages == nil {
+		pages = make(map[uint64]uint64, entries+1)
+	}
+	clear(pages)
+	*t = TLB{entries: entries, pageBits: bits, pages: pages}
 }
 
 // Lookup translates addr, returning false on a TLB miss. A miss installs the

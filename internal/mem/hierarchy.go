@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"slices"
+
 	"smtmlp/internal/prefetch"
 )
 
@@ -168,16 +170,16 @@ func (t *mlpTracker) value() float64 {
 type Hierarchy struct {
 	cfg        Config
 	lineShift  uint
-	l1, l2, l3 *Cache
-	tlb        *TLB
-	stride     *prefetch.StridePredictor
-	sbuf       *prefetch.Buffers
+	l1, l2, l3 Cache
+	tlb        TLB
+	stride     *prefetch.StridePredictor // nil when prefetching is disabled
+	sbuf       *prefetch.Buffers         // nil when prefetching is disabled
 
 	// outstanding maps a missing line to the cycle its fill completes, so a
 	// second access to an in-flight line merges with the first (MSHR
 	// coalescing) instead of starting a new memory access. Open-addressed
 	// and compacted in place: no per-access map traffic, no unbounded growth.
-	outstanding *mshrTable
+	outstanding mshrTable
 
 	// fillFn is the one reusable fill callback handed to the stream buffers;
 	// fillNow carries the current cycle so probing allocates no closure.
@@ -188,7 +190,6 @@ type Hierarchy struct {
 	mlp       []mlpTracker
 	l1miss    []mlpTracker // outstanding below-L1 accesses (DCRA's slow/fast signal)
 	serialEnd []int64      // end of the last serialized LLL, per thread
-	outPerThr []int        // outstanding LLL count per thread (for DCRA/policies)
 	llThreads []uint64
 	l2Misses  []uint64 // demand loads serviced beyond the L2, per thread
 
@@ -202,6 +203,15 @@ type Hierarchy struct {
 
 // New returns an empty hierarchy for cfg.
 func New(cfg Config) *Hierarchy {
+	h := &Hierarchy{}
+	h.Reset(cfg)
+	return h
+}
+
+// Reset restores h to New(cfg)'s state — every cache, the TLB, the MSHRs,
+// the prefetcher and the per-thread accounting empty, statistics zero —
+// reusing the storage h already holds.
+func (h *Hierarchy) Reset(cfg Config) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
@@ -209,37 +219,62 @@ func New(cfg Config) *Hierarchy {
 	for (1 << shift) < cfg.LineBytes {
 		shift++
 	}
-	h := &Hierarchy{
+	n := cfg.Threads
+	old := *h
+	*h = Hierarchy{
 		cfg:         cfg,
 		lineShift:   shift,
-		l1:          NewCache(cfg.L1),
-		l2:          NewCache(cfg.L2),
-		l3:          NewCache(cfg.L3),
-		tlb:         NewTLB(cfg.TLBEntries, cfg.PageBytes),
-		outstanding: newMSHRTable(256),
-		mlp:         make([]mlpTracker, cfg.Threads),
-		l1miss:      make([]mlpTracker, cfg.Threads),
-		serialEnd:   make([]int64, cfg.Threads),
-		outPerThr:   make([]int, cfg.Threads),
-		llThreads:   make([]uint64, cfg.Threads),
-		l2Misses:    make([]uint64, cfg.Threads),
+		l1:          old.l1,
+		l2:          old.l2,
+		l3:          old.l3,
+		tlb:         old.tlb,
+		outstanding: old.outstanding,
+		fillFn:      old.fillFn,
+		mlp:         resetTrackers(old.mlp, n),
+		l1miss:      resetTrackers(old.l1miss, n),
+		serialEnd:   slices.Grow(old.serialEnd[:0], n)[:n],
+		llThreads:   slices.Grow(old.llThreads[:0], n)[:n],
+		l2Misses:    slices.Grow(old.l2Misses[:0], n)[:n],
 	}
+	clear(h.serialEnd)
+	clear(h.llThreads)
+	clear(h.l2Misses)
+	h.l1.Reset(cfg.L1)
+	h.l2.Reset(cfg.L2)
+	h.l3.Reset(cfg.L3)
+	h.tlb.Reset(cfg.TLBEntries, cfg.PageBytes)
+	h.outstanding.reset()
 	if cfg.EnablePrefetch {
-		h.stride = prefetch.NewStridePredictor(cfg.Prefetch)
-		h.sbuf = prefetch.NewBuffers(cfg.Prefetch)
+		h.stride, h.sbuf = old.stride, old.sbuf
+		if h.stride == nil {
+			h.stride, h.sbuf = &prefetch.StridePredictor{}, &prefetch.Buffers{}
+		}
+		h.stride.Reset(cfg.Prefetch)
+		h.sbuf.Reset(cfg.Prefetch)
 	}
-	h.fillFn = func(l uint64) int64 {
-		lat, _ := h.fillBelowL1(l, h.fillNow)
-		return lat
+	if h.fillFn == nil {
+		h.fillFn = func(l uint64) int64 {
+			lat, _ := h.fillBelowL1(l, h.fillNow)
+			return lat
+		}
 	}
-	return h
+}
+
+// resetTrackers returns ts resized to n empty trackers, each keeping its
+// backing array.
+func resetTrackers(ts []mlpTracker, n int) []mlpTracker {
+	ts = slices.Grow(ts[:0], n)[:n]
+	for i := range ts {
+		ts[i] = mlpTracker{ends: ts[i].ends[:0]}
+	}
+	return ts
 }
 
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
 // Caches returns the three cache levels (test helper).
-func (h *Hierarchy) Caches() (l1, l2, l3 *Cache) { return h.l1, h.l2, h.l3 }
+func (h *Hierarchy) Caches() (l1, l2, l3 *Cache) { return &h.l1, &h.l2, &h.l3 }
 
 // TLBMissRate returns the D-TLB miss rate so far.
 func (h *Hierarchy) TLBMissRate() float64 { return h.tlb.MissRate() }

@@ -22,23 +22,24 @@ type mshrTable struct {
 // reach it for any lineShift >= 1).
 const mshrEmpty = ^uint64(0)
 
-func newMSHRTable(capacity int) *mshrTable {
-	size := 16
-	for size < capacity {
-		size <<= 1
+// reset empties the table, giving a new one 256 slots. A table that grew
+// keeps its size: lookups do not depend on the layout.
+func (t *mshrTable) reset() {
+	if t.lines == nil {
+		const size = 256
+		*t = mshrTable{shift: 64}
+		for s := 1; s < size; s <<= 1 {
+			t.shift--
+		}
+		t.lines = make([]uint64, size)
+		t.ready = make([]int64, size)
+		t.spareLines = make([]uint64, size)
+		t.spareReady = make([]int64, size)
 	}
-	t := &mshrTable{shift: 64}
-	for s := 1; s < size; s <<= 1 {
-		t.shift--
-	}
-	t.lines = make([]uint64, size)
-	t.ready = make([]int64, size)
-	t.spareLines = make([]uint64, size)
-	t.spareReady = make([]int64, size)
 	for i := range t.lines {
 		t.lines[i] = mshrEmpty
 	}
-	return t
+	t.used = 0
 }
 
 func (t *mshrTable) slot(line uint64) int {

@@ -76,7 +76,7 @@ func ArithmeticMean(xs []float64) float64 {
 }
 
 // RelativeChange returns (b-a)/a, used for "x% better than ICOUNT" style
-// comparisons in EXPERIMENTS.md.
+// comparisons.
 func RelativeChange(a, b float64) float64 {
 	if a == 0 {
 		return 0

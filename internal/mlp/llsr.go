@@ -1,5 +1,7 @@
 package mlp
 
+import "slices"
+
 // LLSR is the long-latency shift register of Section 4.2 (Figure 3).
 //
 // One LLSR exists per hardware thread and has as many entries as the
@@ -24,10 +26,20 @@ type LLSR struct {
 // NewLLSR returns an LLSR with size entries (the paper uses ROB size divided
 // by the number of threads; its characterization runs use 128).
 func NewLLSR(size int) *LLSR {
+	l := &LLSR{}
+	l.Reset(size)
+	return l
+}
+
+// Reset restores l to NewLLSR(size)'s empty state, reusing its storage when
+// it is large enough.
+func (l *LLSR) Reset(size int) {
 	if size <= 0 {
 		size = 128
 	}
-	return &LLSR{bits: make([]bool, size), pcs: make([]uint64, size)}
+	*l = LLSR{bits: slices.Grow(l.bits[:0], size)[:size], pcs: slices.Grow(l.pcs[:0], size)[:size]}
+	clear(l.bits)
+	clear(l.pcs)
 }
 
 // Size returns the capacity of the shift register.
@@ -89,17 +101,27 @@ type DistancePredictor struct {
 // distances saturate at maxDistance. The paper's configuration is
 // NewDistancePredictor(2048, 128).
 func NewDistancePredictor(entries, maxDistance int) *DistancePredictor {
+	p := &DistancePredictor{}
+	p.Reset(entries, maxDistance)
+	return p
+}
+
+// Reset restores p to NewDistancePredictor(entries, maxDistance)'s state,
+// reusing its tables when they are large enough.
+func (p *DistancePredictor) Reset(entries, maxDistance int) {
 	if entries <= 0 {
 		entries = 2048
 	}
 	if maxDistance <= 0 {
 		maxDistance = 128
 	}
-	return &DistancePredictor{
-		dist:  make([]uint16, entries),
-		valid: make([]bool, entries),
+	*p = DistancePredictor{
+		dist:  slices.Grow(p.dist[:0], entries)[:entries],
+		valid: slices.Grow(p.valid[:0], entries)[:entries],
 		max:   uint16(maxDistance),
 	}
+	clear(p.dist)
+	clear(p.valid)
 }
 
 // idx maps a 4-byte-aligned load PC onto the table.
@@ -139,10 +161,19 @@ type BinaryPredictor struct {
 // NewBinaryPredictor returns a predictor with entries slots (2K in the
 // paper).
 func NewBinaryPredictor(entries int) *BinaryPredictor {
+	p := &BinaryPredictor{}
+	p.Reset(entries)
+	return p
+}
+
+// Reset restores p to NewBinaryPredictor(entries)'s state, reusing its table
+// when it is large enough.
+func (p *BinaryPredictor) Reset(entries int) {
 	if entries <= 0 {
 		entries = 2048
 	}
-	return &BinaryPredictor{bit: make([]bool, entries)}
+	p.bit = slices.Grow(p.bit[:0], entries)[:entries]
+	clear(p.bit)
 }
 
 // Predict reports whether MLP is predicted for the long-latency load at pc.

@@ -17,6 +17,8 @@
 // thread, exactly as the paper assumes.
 package mlp
 
+import "slices"
+
 // MissPatternPredictor predicts, in the processor front end, whether a load
 // is going to be a long-latency load (an L3 or D-TLB miss).
 //
@@ -43,18 +45,29 @@ type MissPatternPredictor struct {
 // counters of the given bit width. The paper's configuration is
 // NewMissPatternPredictor(2048, 6).
 func NewMissPatternPredictor(entries, bits int) *MissPatternPredictor {
+	p := &MissPatternPredictor{}
+	p.Reset(entries, bits)
+	return p
+}
+
+// Reset restores p to NewMissPatternPredictor(entries, bits)'s state,
+// reusing its tables when they are large enough.
+func (p *MissPatternPredictor) Reset(entries, bits int) {
 	if entries <= 0 {
 		entries = 2048
 	}
 	if bits <= 0 || bits > 15 {
 		bits = 6
 	}
-	return &MissPatternPredictor{
-		period: make([]uint16, entries),
-		count:  make([]uint16, entries),
-		valid:  make([]bool, entries),
+	*p = MissPatternPredictor{
+		period: slices.Grow(p.period[:0], entries)[:entries],
+		count:  slices.Grow(p.count[:0], entries)[:entries],
+		valid:  slices.Grow(p.valid[:0], entries)[:entries],
 		max:    uint16(1)<<uint(bits) - 1,
 	}
+	clear(p.period)
+	clear(p.count)
+	clear(p.valid)
 }
 
 // idx maps a 4-byte-aligned load PC onto the table.

@@ -10,6 +10,8 @@
 // prefetcher between the L1 data cache and the rest of the hierarchy.
 package prefetch
 
+import "slices"
+
 // Config sizes the prefetcher. DefaultConfig matches the paper's baseline.
 type Config struct {
 	Buffers       int `json:"buffers"`        // number of stream buffers
@@ -41,11 +43,20 @@ type StridePredictor struct {
 
 // NewStridePredictor returns a predictor with cfg.StrideEntries entries.
 func NewStridePredictor(cfg Config) *StridePredictor {
+	p := &StridePredictor{}
+	p.Reset(cfg)
+	return p
+}
+
+// Reset restores p to NewStridePredictor(cfg)'s untrained state, reusing its
+// table when it is large enough.
+func (p *StridePredictor) Reset(cfg Config) {
 	n := cfg.StrideEntries
 	if n <= 0 {
 		n = DefaultConfig().StrideEntries
 	}
-	return &StridePredictor{cfg: cfg, entries: make([]strideEntry, n)}
+	*p = StridePredictor{cfg: cfg, entries: slices.Grow(p.entries[:0], n)[:n]}
+	clear(p.entries)
 }
 
 // Observe records the load at pc touching addr and returns the predicted
@@ -105,14 +116,22 @@ type Buffers struct {
 
 // NewBuffers returns an empty stream buffer set sized by cfg.
 func NewBuffers(cfg Config) *Buffers {
+	b := &Buffers{}
+	b.Reset(cfg)
+	return b
+}
+
+// Reset restores b to NewBuffers(cfg)'s state: every buffer invalid and
+// empty, statistics zero. It reuses the buffers' storage.
+func (b *Buffers) Reset(cfg Config) {
 	if cfg.Buffers <= 0 || cfg.Entries <= 0 {
 		cfg = DefaultConfig()
 	}
-	bufs := make([]streamBuffer, cfg.Buffers)
+	bufs := slices.Grow(b.bufs[:0], cfg.Buffers)[:cfg.Buffers]
 	for i := range bufs {
-		bufs[i].entries = make([]bufferEntry, 0, cfg.Entries)
+		bufs[i] = streamBuffer{entries: slices.Grow(bufs[i].entries[:0], cfg.Entries)}
 	}
-	return &Buffers{cfg: cfg, bufs: bufs}
+	*b = Buffers{cfg: cfg, bufs: bufs}
 }
 
 // FillFunc reports the latency (in cycles) of fetching a line from below the
@@ -198,13 +217,5 @@ func (b *Buffers) Allocate(line uint64, lineStride int64, now int64, fill FillFu
 		cur += lineStride
 		b.Prefetches++
 		sb.entries = append(sb.entries, bufferEntry{line: uint64(cur), ready: now + fill(uint64(cur))})
-	}
-}
-
-// Invalidate clears all buffers (used between simulation phases in tests).
-func (b *Buffers) Invalidate() {
-	for i := range b.bufs {
-		b.bufs[i].valid = false
-		b.bufs[i].entries = b.bufs[i].entries[:0]
 	}
 }

@@ -146,12 +146,15 @@ func TestBuffersNoDuplicateStreams(t *testing.T) {
 	}
 }
 
-func TestBuffersInvalidate(t *testing.T) {
+func TestBuffersReset(t *testing.T) {
 	b := NewBuffers(DefaultConfig())
 	b.Allocate(100, 1, 0, constFill(10))
-	b.Invalidate()
+	b.Reset(DefaultConfig())
 	if _, hit := b.Probe(101, 10, constFill(10)); hit {
-		t.Fatal("invalidated buffer still hits")
+		t.Fatal("reset buffer still hits")
+	}
+	if b.Allocations != 0 || b.Prefetches != 0 || b.Hits != 0 {
+		t.Fatalf("reset kept statistics: allocations=%d prefetches=%d hits=%d", b.Allocations, b.Prefetches, b.Hits)
 	}
 }
 

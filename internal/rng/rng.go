@@ -9,24 +9,30 @@
 package rng
 
 // Source is a deterministic xorshift64* pseudo-random number generator.
-// The zero value is not a valid source; use New.
+// The zero value is not a valid source; use New or Seed.
 type Source struct {
 	state uint64
 }
 
 // New returns a Source seeded with seed. Two sources with the same seed
-// produce identical streams. A zero seed is remapped to a fixed non-zero
-// constant because xorshift has an all-zero fixed point.
+// produce identical streams.
 func New(seed uint64) *Source {
+	s := &Source{}
+	s.Seed(seed)
+	return s
+}
+
+// Seed restarts s as New(seed) would. A zero seed is remapped to a fixed
+// non-zero constant because xorshift has an all-zero fixed point.
+func (s *Source) Seed(seed uint64) {
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
 	}
-	s := &Source{state: seed}
+	s.state = seed
 	// Warm up so that trivially related seeds (1, 2, 3...) decorrelate.
 	for i := 0; i < 4; i++ {
 		s.Uint64()
 	}
-	return s
 }
 
 // Uint64 returns the next 64 pseudo-random bits.

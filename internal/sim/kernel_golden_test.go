@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"sort"
 	"strings"
@@ -89,32 +90,48 @@ func kernelGoldenCells() []goldenCell {
 	return cells
 }
 
-// kernelDigests runs every golden cell through the production warm-up and
-// measurement path and returns each cell's sha256 of its core.Result JSON.
-func kernelDigests(t *testing.T) map[string]string {
+// kernelDigests runs cells in order, each through run, which supplies the
+// cell's core — new or recycled — and runs the production warm-up and
+// measurement path, and returns each cell's sha256 of its core.Result JSON.
+func kernelDigests(t *testing.T, cells []goldenCell, run func(r *Runner, cell goldenCell) core.Result) map[string]string {
 	t.Helper()
 	r := NewRunner(Params{Instructions: kernelGoldenInstructions, Warmup: kernelGoldenWarmup})
 	out := make(map[string]string)
-	for _, cell := range kernelGoldenCells() {
-		c := core.New(cell.cfg, models(cell.workload), policy.New(cell.kind), cell.limiter)
-		res := r.runWarm(c, cell.traceEvery)
-		data, err := json.Marshal(res)
-		if err != nil {
-			t.Fatalf("%s: encoding result: %v", cell.name, err)
-		}
-		sum := sha256.Sum256(data)
+	for _, cell := range cells {
 		if _, dup := out[cell.name]; dup {
 			t.Fatalf("duplicate golden cell name %q", cell.name)
 		}
-		out[cell.name] = hex.EncodeToString(sum[:])
+		out[cell.name] = resultDigest(t, cell.name, run(r, cell))
 	}
 	return out
 }
 
-// TestKernelGolden requires every cell of the grid to reproduce its pinned
-// core.Result digest exactly: cycles, per-thread counters, MLP, profiles and
-// interval traces alike.
-func TestKernelGolden(t *testing.T) {
+// newCoreCell runs cell on a new core.
+func newCoreCell(r *Runner, cell goldenCell) core.Result {
+	c := core.New(cell.cfg, models(cell.workload), policy.New(cell.kind), cell.limiter)
+	return r.runWarm(c, cell.traceEvery)
+}
+
+// recycledCell runs cell through the production recycling path: a core from
+// the process-wide pool, reset to the cell.
+func recycledCell(r *Runner, cell goldenCell) core.Result {
+	return r.runRecycled(cell.cfg, models(cell.workload), policy.New(cell.kind), cell.limiter, cell.traceEvery)
+}
+
+// resultDigest returns the sha256 of res's JSON encoding.
+func resultDigest(t *testing.T, name string, res core.Result) string {
+	t.Helper()
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatalf("%s: encoding result: %v", name, err)
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// pinnedKernelDigests reads the pinned digest of every golden cell.
+func pinnedKernelDigests(t *testing.T) map[string]string {
+	t.Helper()
 	data, err := os.ReadFile(kernelGoldenPath)
 	if err != nil {
 		t.Fatalf("reading pinned kernel digests: %v", err)
@@ -123,7 +140,13 @@ func TestKernelGolden(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatalf("decoding %s: %v", kernelGoldenPath, err)
 	}
-	got := kernelDigests(t)
+	return want
+}
+
+// requirePinned fails t unless got holds exactly the pinned cells, each
+// with its pinned digest.
+func requirePinned(t *testing.T, want, got map[string]string) {
+	t.Helper()
 	var drift []string
 	for name, sum := range got {
 		if w, ok := want[name]; !ok {
@@ -140,5 +163,29 @@ func TestKernelGolden(t *testing.T) {
 	sort.Strings(drift)
 	if len(drift) > 0 {
 		t.Fatalf("%d of %d kernel cells drifted from %s:\n%s", len(drift), len(want), kernelGoldenPath, strings.Join(drift, "\n"))
+	}
+}
+
+// TestKernelGolden requires every cell of the grid, each on a new core, to
+// reproduce its pinned core.Result digest exactly: cycles, per-thread
+// counters, MLP, profiles and interval traces alike.
+func TestKernelGolden(t *testing.T) {
+	want := pinnedKernelDigests(t)
+	requirePinned(t, want, kernelDigests(t, kernelGoldenCells(), newCoreCell))
+}
+
+// TestKernelGoldenRecycled runs the whole grid through the production
+// recycling path in three seeded shuffles, so one core crosses thread
+// counts, window sizes, memory latencies, policies, limiters and traced and
+// untraced cells, and requires the same pinned digests as new cores give.
+// Any state a reset fails to clear leaks into the next cell and shows here.
+func TestKernelGoldenRecycled(t *testing.T) {
+	want := pinnedKernelDigests(t)
+	for seed := uint64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("shuffle%d", seed), func(t *testing.T) {
+			cells := kernelGoldenCells()
+			rand.New(rand.NewPCG(seed, 0)).Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
+			requirePinned(t, want, kernelDigests(t, cells, recycledCell))
+		})
 	}
 }

@@ -18,12 +18,14 @@
 // (many BatchRequests, streamed). All fan-out — RunBatch and the
 // characterization experiments alike — goes through ForEach, the one
 // bounded worker pool with context cancellation; each simulation itself is
-// single-threaded and deterministic.
+// single-threaded and deterministic. References and multiprogram cells run
+// on cores recycled through one process-wide pool (see runRecycled).
 package sim
 
 import (
 	"context"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"smtmlp/internal/bench"
@@ -195,21 +197,35 @@ func (r *Runner) Refs() *RefCache { return r.refs }
 // of the same SMT core) for the runner's instruction budget, after warm-up,
 // and returns the core too, so characterization experiments can read
 // predictor state (MLP distance histograms, accuracy counters) after the
-// run. It returns the context's error without simulating if ctx is already
-// done. (A simulation in progress runs to completion; cancellation is
-// observed between simulations, which is the granularity batch execution
-// needs.)
+// run; that core is a new one, never taken from or returned to the pool. It
+// returns the context's error without simulating if ctx is already done. (A
+// simulation in progress runs to completion; cancellation is observed
+// between simulations, which is the granularity batch execution needs.)
 func (r *Runner) RunSingleCtx(ctx context.Context, cfg core.Config, benchmark string) (*core.Core, core.Result, error) {
-	return r.runSingle(ctx, cfg, benchmark, r.Params.TraceInterval)
-}
-
-func (r *Runner) runSingle(ctx context.Context, cfg core.Config, benchmark string, traceEvery int64) (*core.Core, core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, core.Result{}, err
 	}
 	c := core.New(cfg, models([]string{benchmark}), core.ICount{}, nil)
-	res := r.runWarm(c, traceEvery)
+	res := r.runWarm(c, r.Params.TraceInterval)
 	return c, res, nil
+}
+
+// cores holds finished cores for the next cell. It is process-wide, not per
+// Runner, because fleet workers and campaigns build a Runner per lease or
+// run, and a per-Runner pool would start empty each time; it retains at most
+// about one core per concurrent simulation.
+var cores = sync.Pool{New: func() any { return new(core.Core) }}
+
+// runRecycled runs one cell like runWarm on a core from the pool, reset to
+// the cell's configuration, workload models, policy and limiter, then
+// returns the core to the pool. The Result owns its memory, so it stays
+// valid whatever the core runs next.
+func (r *Runner) runRecycled(cfg core.Config, ms []trace.Model, p core.Policy, lim core.Limiter, traceEvery int64) core.Result {
+	c := cores.Get().(*core.Core)
+	c.Reset(cfg, ms, p, lim)
+	res := r.runWarm(c, traceEvery)
+	cores.Put(c)
+	return res
 }
 
 // runWarm executes the warm-up phase, resets statistics and runs the
@@ -236,12 +252,12 @@ func (r *Runner) runWarm(c *core.Core, traceEvery int64) core.Result {
 func (r *Runner) STReferenceCtx(ctx context.Context, cfg core.Config, benchmark string) (*STProfile, error) {
 	key := RefKey(cfg, benchmark, r.Params.Instructions, r.Params.warmup())
 	return r.refs.getOrCompute(ctx, key, func(ctx context.Context) (*STProfile, error) {
-		// References never trace (traceEvery 0): their bytes are cached and
-		// persisted under keys that exclude the trace knob.
-		_, res, err := r.runSingle(ctx, cfg, benchmark, 0)
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		// References never trace (traceEvery 0): their bytes are cached and
+		// persisted under keys that exclude the trace knob.
+		res := r.runRecycled(cfg, models([]string{benchmark}), core.ICount{}, nil, 0)
 		return &STProfile{Benchmark: benchmark, Result: res}, nil
 	})
 }
@@ -278,8 +294,7 @@ func (r *Runner) RunWorkloadCtx(ctx context.Context, req BatchRequest) (Workload
 	if every == 0 {
 		every = r.Params.TraceInterval
 	}
-	c := core.New(req.Config, models(req.Workload.Benchmarks), policy.New(req.Kind), req.Limiter)
-	res := r.runWarm(c, every)
+	res := r.runRecycled(req.Config, models(req.Workload.Benchmarks), policy.New(req.Kind), req.Limiter, every)
 
 	name := req.Kind.String()
 	if req.Limiter != nil {

@@ -22,6 +22,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"smtmlp/internal/isa"
 	"smtmlp/internal/rng"
@@ -205,7 +206,8 @@ type site struct {
 type Generator struct {
 	model Model
 	sites []site
-	rnd   *rng.Source
+	used  []bool // build's placement marks, kept for reuse
+	rnd   rng.Source
 
 	iter uint64 // completed passes over the site loop
 	pos  int    // next site index
@@ -214,7 +216,7 @@ type Generator struct {
 	streamPos []uint64 // per-stream byte offset in its region
 	loopCount []int    // per-branch-site loop counters
 
-	destRing []int16 // recent destination registers, for dependence wiring
+	destRing [64]int16 // recent destination registers, for dependence wiring
 	destPos  int
 	farPos   int   // rotation for far-load destination registers
 	lastFar  int16 // most recent far-load destination, or RegNone
@@ -248,15 +250,25 @@ const (
 // shared; address spaces are disjoint, as for the paper's multiprogrammed
 // workloads).
 func NewGenerator(model Model, threadID int) *Generator {
-	m := model.withDefaults()
-	g := &Generator{
-		model:    m,
-		rnd:      rng.New(m.Seed*0x9E3779B97F4A7C15 + uint64(threadID)*0xBF58476D1CE4E5B9 + 1),
-		addrBase: uint64(threadID) << 44,
-		destRing: make([]int16, 64),
-	}
-	g.build()
+	g := &Generator{}
+	g.Reset(model, threadID)
 	return g
+}
+
+// Reset rebuilds g in place as NewGenerator(model, threadID) would build it,
+// reusing its tables: the stream restarts at sequence 0.
+func (g *Generator) Reset(model Model, threadID int) {
+	m := model.withDefaults()
+	*g = Generator{
+		model:     m,
+		sites:     g.sites,
+		used:      g.used,
+		streamPos: g.streamPos,
+		loopCount: g.loopCount,
+		addrBase:  uint64(threadID) << 44,
+	}
+	g.rnd.Seed(m.Seed*0x9E3779B97F4A7C15 + uint64(threadID)*0xBF58476D1CE4E5B9 + 1)
+	g.build()
 }
 
 // Model returns the generator's (default-filled) model.
@@ -271,11 +283,13 @@ func (g *Generator) Sites() int { return len(g.sites) }
 func (g *Generator) build() {
 	m := g.model
 	n := m.Sites
-	g.sites = make([]site, n)
+	g.sites = slices.Grow(g.sites[:0], n)[:n]
 	for i := range g.sites {
 		g.sites[i] = site{role: roleFiller, class: isa.IntALU, burstID: -1}
 	}
-	used := make([]bool, n)
+	g.used = slices.Grow(g.used[:0], n)[:n]
+	clear(g.used)
+	used := g.used
 
 	place := func(idx int, s site) {
 		s.pc = codeBase + uint64(idx)*4
@@ -406,8 +420,10 @@ func (g *Generator) build() {
 		used[i] = true
 	}
 
-	g.streamPos = make([]uint64, streams)
-	g.loopCount = make([]int, n)
+	g.streamPos = slices.Grow(g.streamPos[:0], streams)[:streams]
+	g.loopCount = slices.Grow(g.loopCount[:0], n)[:n]
+	clear(g.streamPos)
+	clear(g.loopCount)
 }
 
 // destFor rotates destination registers; FP classes draw from the FP file.
@@ -567,6 +583,17 @@ type Cursor struct {
 // NewCursor returns a cursor over gen starting at sequence 0.
 func NewCursor(gen *Generator) *Cursor {
 	return &Cursor{gen: gen}
+}
+
+// Reset restarts c at sequence 0 over its generator, reset in place to
+// model and threadID (a zero Cursor gets a new one). The buffer is kept.
+func (c *Cursor) Reset(model Model, threadID int) {
+	gen := c.gen
+	if gen == nil {
+		gen = &Generator{}
+	}
+	gen.Reset(model, threadID)
+	*c = Cursor{gen: gen, buf: c.buf[:0]}
 }
 
 // Fetch delivers the next instruction (possibly re-delivering after Rewind).
